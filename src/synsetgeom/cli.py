@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ from .geometry import (
     SynsetReport,
     analyze_synset,
     partition_outcomes,
-    rank_and_centrality,
 )
 from .ingestion import (
     DEFAULT_TAG_SUFFIXES,
@@ -453,7 +453,7 @@ def _cmd_partitions(args) -> int:
         )
     focus = tokens.index(args.token)
     outcomes = partition_outcomes(synset, focus, eps=cfg.eps, max_size=cfg.max_synset_size)
-    attrs = rank_and_centrality(synset, focus, eps=cfg.eps, max_size=cfg.max_synset_size)
+    rank_doubled = sum(po.r_doubled for po in outcomes)
     remaining = [t for i, t in enumerate(tokens) if i != focus]
     rows = []
     for i, po in enumerate(outcomes, start=1):
@@ -474,12 +474,13 @@ def _cmd_partitions(args) -> int:
         "id": raw.id,
         "focus": args.token,
         "n": synset.n,
-        "partition_count": attrs.partition_count,
+        "partition_count": len(outcomes),
         "partitions": rows,
         "totals": {
-            "rank": _rank_value(attrs.rank_doubled),
-            "centrality": _fixed(attrs.centrality, 4),
-            "in_interior": attrs.in_interior,
+            "rank": _rank_value(rank_doubled),
+            "centrality": _fixed(math.fsum(po.centrality_delta for po in outcomes), 4),
+            # interior <=> every split contributes +1 on both sides
+            "in_interior": rank_doubled == 2 * len(outcomes),
         },
     }
     renderers = {
@@ -719,6 +720,10 @@ def main(argv=None) -> int:
         return EXIT_FATAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FATAL
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_FATAL
 
 

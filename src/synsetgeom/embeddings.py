@@ -155,7 +155,9 @@ def load_text_model(path) -> EmbeddingModel:
 
     Expected layout: a ``<vocab_size> <dimension>`` header line, then one
     ``<token> <c1> ... <c_dim>`` line per word, single-space separated.
-    Rows are L2-normalized on load.
+    Trailing whitespace, such as the space the original word2vec tool
+    writes after the last component, is ignored.  Rows are L2-normalized
+    on load.
     """
     path = str(path)
     try:
@@ -172,7 +174,7 @@ def load_text_model(path) -> EmbeddingModel:
                     raise ModelFormatError(
                         f"{path}: truncated: expected {vocab_size} entries, found {i}"
                     )
-                parts = line.rstrip("\n").split(" ")
+                parts = line.rstrip().split(" ")
                 if len(parts) != dimension + 1:
                     raise ModelFormatError(
                         f"{path}: line {i + 2}: expected token plus {dimension} "

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from synsetgeom import (
+    DEFAULT_MAX_SYNSET_SIZE,
     ModelFormatError,
     OovPolicy,
     RawSynset,
@@ -126,7 +127,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_identical_vectors_are_neutral():
     ok = True
     details = []
-    for n in range(3, 7):
+    for n in range(3, DEFAULT_MAX_SYNSET_SIZE + 1):
         syn = make_synset([f"w{i}" for i in range(n)], [[0.6, 0.8, 0.0]] * n)
         report = analyze_synset(syn)
         if report.interior:
@@ -136,7 +137,12 @@ def test_criterion_4_identical_vectors_are_neutral():
             if w.rank_doubled != 0 or w.centrality != 0.0 or w.in_interior:
                 ok = False
                 details.append(f"n={n}: {w.token} not neutral")
-    verdict(4, "identical-vector synsets neutral", ok, "; ".join(details) or "n=3..6 exact")
+    verdict(
+        4,
+        "identical-vector synsets neutral",
+        ok,
+        "; ".join(details) or f"n=3..{DEFAULT_MAX_SYNSET_SIZE} exact",
+    )
 
 
 def test_criterion_5_bounds():

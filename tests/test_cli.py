@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from synsetgeom import save_binary_model, load_text_model
+from synsetgeom import cli, geometry, save_binary_model, load_text_model
 from synsetgeom.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -171,6 +171,34 @@ class TestExitCodes:
         assert code == 1
         assert "exactly 1" in err
 
+    def test_out_of_memory_is_exit_1(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(cli, "analyze_synset", exhausted)
+        code, _, err = run(
+            capsys, "analyze", "--model", FIXTURE_MODEL, "--synsets", FIXTURE_SYNSETS
+        )
+        assert code == 1
+        assert err == "error: out of memory: Unable to allocate 8.00 TiB\n"
+
+    def test_synset_over_the_memory_budget_is_refused(self, capsys, tmp_path):
+        # a raised cap admits 40 words, whose tables would need terabytes
+        words = [f"w{i}" for i in range(40)]
+        model = tmp_path / "m.txt"
+        write_model_file(model, words, np.random.default_rng(5).standard_normal((40, 2)))
+        synsets = tmp_path / "s.tsv"
+        synsets.write_text("big\t\t" + "|".join(words) + "\n", encoding="utf-8")
+        common = ("--model", str(model), "--synsets", str(synsets),
+                  "--max-synset-size", "64", "--output", "json")
+        code, out, _ = run(capsys, "analyze", *common)
+        assert code == 2
+        (skip,) = json.loads(out)["skipped"]
+        assert skip["status"] == "error" and "budget" in skip["reason"]
+        code, _, err = run(capsys, "partitions", "big", "w0", *common)
+        assert code == 1
+        assert err.startswith("error: ") and "budget" in err
+
 
 class TestPartitionsCommand:
     def run_partitions(self, capsys, synset_id, token, *extra):
@@ -223,6 +251,16 @@ class TestPartitionsCommand:
                 assert doc["totals"]["rank"] == w["rank"]
                 assert doc["totals"]["centrality"] == w["centrality"]
                 assert doc["totals"]["in_interior"] == w["in_interior"]
+
+    def test_rows_and_totals_come_from_one_table(self, capsys, monkeypatch):
+        built = []
+        exact = geometry._partition_table
+        monkeypatch.setattr(
+            geometry, "_partition_table", lambda *args: built.append(args) or exact(*args)
+        )
+        code, _, _ = self.run_partitions(capsys, "battle", "бой")
+        assert code == 0
+        assert len(built) == 1
 
     def test_unknown_synset_id(self, capsys):
         code, _, err = self.run_partitions(capsys, "nope", "бой")

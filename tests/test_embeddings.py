@@ -75,6 +75,15 @@ class TestLoadText:
         with pytest.raises(ModelFormatError, match="zero-norm"):
             load_text_model(path)
 
+    def test_trailing_space_and_crlf(self, tmp_path):
+        # the original word2vec tool ends every row with a space
+        model = load_text_model(write_text(tmp_path, "2 3\na 1 0 0 \nb 0 1 0 \n"))
+        assert model.words == ("a", "b")
+        np.testing.assert_array_equal(model.vectors, np.eye(3, dtype=np.float32)[:2])
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(b"2 3\r\na 1 0 0\r\nb 0 1 0 \r\n")
+        np.testing.assert_array_equal(load_text_model(crlf).vectors, model.vectors)
+
     def test_truncated_file(self, tmp_path):
         path = write_text(tmp_path, "3 2\na 1 0\nb 0 1\n")
         with pytest.raises(ModelFormatError, match="truncated"):

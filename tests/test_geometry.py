@@ -1,12 +1,14 @@
 """Partition enumeration, per-partition outcomes, rank/centrality/interior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from synsetgeom import (
+    DEFAULT_MAX_SYNSET_SIZE,
     DegenerateGeometryError,
     Partition,
     ResolvedSynset,
@@ -21,9 +23,10 @@ from synsetgeom import (
     set_similarity,
     sgn_eps,
 )
+from synsetgeom import geometry
 
 import oracle
-from synth import make_synset, random_synset, synset_rows
+from synth import make_synset, random_synset, synset_rows, unit_rows
 
 
 def brute_force_masks(m):
@@ -182,11 +185,11 @@ class TestRankAndCentrality:
         )
         assert attrs.centrality == pytest.approx(got[1], abs=1e-9)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(3, DEFAULT_MAX_SYNSET_SIZE + 1))
     def test_identical_vectors_all_zero(self, n):
         syn = make_synset([f"w{i}" for i in range(n)], [[0, 1, 0]] * n)
-        for focus in range(n):
-            attrs = rank_and_centrality(syn, focus)
+        per_focus = [rank_and_centrality(syn, focus) for focus in range(n)]
+        for attrs in per_focus + list(analyze_synset(syn).words):
             assert attrs.rank_doubled == 0
             assert attrs.centrality == 0.0
             assert not attrs.in_interior
@@ -376,6 +379,103 @@ class TestAnalyzeSynset:
         syn = make_synset(["a", "b"], [[1, 0], [0, 1]])
         with pytest.raises(SynsetSizeError):
             analyze_synset(syn)
+
+
+def _vector_path_foci(monkeypatch):
+    """Record the focus of every vector-path table built from here on."""
+    foci = []
+    exact = geometry._partition_table
+
+    def recording(synset, focus, eps):
+        foci.append(focus)
+        return exact(synset, focus, eps)
+
+    monkeypatch.setattr(geometry, "_partition_table", recording)
+    return foci
+
+
+def _smallest_block_q(rows):
+    """Smallest squared norm of a sum of 2..n-1 of the rows."""
+    n = len(rows)
+    return min(
+        float(np.sum(np.sum([rows[i] for i in range(n) if t >> i & 1], axis=0) ** 2))
+        for t in range(1, (1 << n) - 1)
+        if bin(t).count("1") >= 2
+    )
+
+
+class TestSubsetNormEngine:
+    """analyze_synset reads every word from one subset-norm table and falls
+    back to the vector path for a word whose blocks nearly cancel."""
+
+    def assert_matches_oracle(self, syn):
+        report = analyze_synset(syn)
+        expected = oracle.analyze(list(syn.tokens), synset_rows(syn))
+        assert [w.token for w in report.words] == [row[0] for row in expected]
+        for w, row in zip(report.words, expected):
+            assert w.rank_doubled == row[1]
+            assert w.centrality == pytest.approx(row[2], abs=1e-9)
+            assert w.in_interior == row[3]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_near_cancelling_block_falls_back(self, monkeypatch, dim):
+        rng = np.random.default_rng(4100 + dim)
+        rows = unit_rows(rng, 6, dim).astype(np.float64)
+        # word 2 is word 1 reversed and tilted by 1e-3: their sum nearly cancels
+        tilt = np.zeros(dim)
+        tilt[0], tilt[1] = rows[1][1], -rows[1][0]
+        rows[2] = -rows[1] + 1e-3 * tilt
+        syn = make_synset([f"w{i}" for i in range(6)], rows)
+        assert _smallest_block_q(synset_rows(syn)) < geometry.GRAM_MIN_BLOCK_Q
+        foci = _vector_path_foci(monkeypatch)
+        self.assert_matches_oracle(syn)
+        assert foci, "no word took the vector path"
+
+    def test_well_conditioned_synset_reads_the_table(self, monkeypatch):
+        rng = np.random.default_rng(4200)
+        syn = random_synset(rng, n=7, dim=50)
+        assert _smallest_block_q(synset_rows(syn)) > geometry.GRAM_MIN_BLOCK_Q
+        foci = _vector_path_foci(monkeypatch)
+        self.assert_matches_oracle(syn)
+        assert foci == []
+
+    def test_degenerate_block_still_raises_with_mask(self):
+        syn = make_synset(
+            ["v", "up", "down", "side"],
+            [[1, 0], [0, 1], [0, -1], [1, 0]],
+        )
+        with pytest.raises(DegenerateGeometryError, match="mask"):
+            analyze_synset(syn)
+
+    def test_equals_per_focus_vector_path(self):
+        rng = np.random.default_rng(4300)
+        for _ in range(150):
+            syn = random_synset(rng, n_range=(3, 10), dim_range=(2, 40))
+            by_token = {w.token: w for w in analyze_synset(syn).words}
+            for focus, token in enumerate(syn.tokens):
+                want = rank_and_centrality(syn, focus)
+                got = by_token[token]
+                assert got.rank_doubled == want.rank_doubled
+                assert got.in_interior == want.in_interior
+                assert got.partition_count == want.partition_count
+                assert got.centrality == pytest.approx(want.centrality, abs=1e-9)
+
+    def test_memory_budget_refuses_before_allocating(self):
+        rng = np.random.default_rng(4400)
+        syn = random_synset(rng, n=40, dim=2)
+        tracemalloc.start()
+        try:
+            for call in (
+                lambda: analyze_synset(syn, max_size=64),
+                lambda: partition_outcomes(syn, 0, max_size=64),
+                lambda: rank_and_centrality(syn, 0, max_size=64),
+            ):
+                with pytest.raises(SynsetSizeError, match="budget"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestResolvedSynset:
