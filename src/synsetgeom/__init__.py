@@ -11,14 +11,10 @@ can be compared side by side.
 
 from .embeddings import (
     EmbeddingModel,
-    WordVector,
-    cosine,
     load_binary_model,
     load_text_model,
-    normalized_mean,
     save_binary_model,
     save_text_model,
-    set_similarity,
 )
 from .errors import (
     DegenerateGeometryError,
@@ -31,18 +27,13 @@ from .errors import (
 from .geometry import (
     DEFAULT_EPS,
     DEFAULT_MAX_SYNSET_SIZE,
-    Partition,
-    PartitionOutcome,
+    PartitionTable,
     ResolvedSynset,
     SynsetReport,
     WordAttributes,
     analyze_synset,
     enumerate_partitions,
-    interior_membership,
-    partition_outcome,
     partition_outcomes,
-    rank_and_centrality,
-    sgn_eps,
 )
 from .ingestion import (
     OovPolicy,
@@ -61,8 +52,7 @@ __all__ = [
     "EmbeddingModel",
     "ModelFormatError",
     "OovPolicy",
-    "Partition",
-    "PartitionOutcome",
+    "PartitionTable",
     "RawSynset",
     "ResolutionError",
     "ResolutionOutcome",
@@ -72,21 +62,13 @@ __all__ = [
     "SynsetReport",
     "SynsetSizeError",
     "WordAttributes",
-    "WordVector",
     "analyze_synset",
-    "cosine",
     "enumerate_partitions",
-    "interior_membership",
     "load_binary_model",
     "load_text_model",
-    "normalized_mean",
     "parse_synsets",
-    "partition_outcome",
     "partition_outcomes",
-    "rank_and_centrality",
     "resolve",
     "save_binary_model",
     "save_text_model",
-    "set_similarity",
-    "sgn_eps",
 ]

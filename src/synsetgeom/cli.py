@@ -20,9 +20,9 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .embeddings import EmbeddingModel, load_binary_model, load_text_model
 from .errors import DegenerateGeometryError, SynsetGeomError, SynsetSizeError
@@ -30,11 +30,13 @@ from .geometry import (
     DEFAULT_EPS,
     DEFAULT_MAX_SYNSET_SIZE,
     SynsetReport,
+    _attributes,
     analyze_synset,
     partition_outcomes,
 )
 from .ingestion import (
     DEFAULT_TAG_SUFFIXES,
+    DROP_OOV,
     MIN_SYNSET_SIZE,
     OOV_MODES,
     STATUS_RESOLVED,
@@ -156,7 +158,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="rank, centrality and interior per word")
     add_common(p, 1)
-    p.set_defaults(handler=_cmd_analyze, n_models=1)
+    p.set_defaults(n_models=1)
 
     p = sub.add_parser(
         "partitions", help="per-partition detail for one word of one synset"
@@ -164,15 +166,15 @@ def _build_parser() -> _Parser:
     p.add_argument("synset_id", help="synset id from the synset file")
     p.add_argument("token", help="the focus word (surface form from the synset)")
     add_common(p, 1)
-    p.set_defaults(handler=_cmd_partitions, n_models=1)
+    p.set_defaults(n_models=1)
 
     p = sub.add_parser("compare", help="interiors under two models, side by side")
     add_common(p, 2)
-    p.set_defaults(handler=_cmd_compare, n_models=2)
+    p.set_defaults(n_models=2)
 
     p = sub.add_parser("audit", help="find synsets with an empty interior")
     add_common(p, 1)
-    p.set_defaults(handler=_cmd_audit, n_models=1)
+    p.set_defaults(n_models=1)
 
     return parser
 
@@ -265,47 +267,56 @@ def _sim_str(v: float) -> str:
 # shared pipeline
 
 
+class _Side(NamedTuple):
+    """One synset under one model: the report when analyzed, otherwise the
+    resolution status (or 'error') and the reason."""
+
+    status: str
+    outcome: ResolutionOutcome
+    report: SynsetReport | None
+    reason: str | None
+
+
 def _skip_reason(raw: RawSynset, outcome: ResolutionOutcome) -> str:
-    surviving = len(raw.words) - len(outcome.dropped_words)
     if outcome.status == STATUS_TOO_SMALL:
+        surviving = len(raw.words) - len(outcome.dropped_words)
         return (
             f"only {surviving} of {len(raw.words)} words resolved "
             f"(need {MIN_SYNSET_SIZE})"
         )
-    return (
-        f"{len(outcome.dropped_words)} word(s) out of vocabulary "
-        "under skip-synset policy"
-    )
+    oov = sum(reason == DROP_OOV for _, reason in outcome.dropped_words)
+    return f"{oov} word(s) out of vocabulary under skip-synset policy"
 
 
 def _dropped_docs(outcome: ResolutionOutcome) -> list[dict]:
     return [{"token": t, "reason": r} for t, r in outcome.dropped_words]
 
 
-def _analyze_raw(raw: RawSynset, model: EmbeddingModel, cfg: RunConfig):
-    """One synset against one model.
-
-    Returns ('analyzed', outcome, report) or (status, outcome, reason) where
-    status is the resolution status or 'error'.
-    """
+def _analyze_side(raw: RawSynset, model: EmbeddingModel, cfg: RunConfig) -> _Side:
     outcome = resolve(raw, model, cfg.oov)
     if outcome.status != STATUS_RESOLVED:
-        return outcome.status, outcome, _skip_reason(raw, outcome)
+        return _Side(outcome.status, outcome, None, _skip_reason(raw, outcome))
     try:
         report = analyze_synset(
             outcome.resolved, eps=cfg.eps, max_size=cfg.max_synset_size
         )
     except (SynsetSizeError, DegenerateGeometryError) as exc:
-        return "error", outcome, str(exc)
-    return "analyzed", outcome, report
+        return _Side("error", outcome, None, str(exc))
+    return _Side("analyzed", outcome, report, None)
 
 
-def _synset_doc(outcome: ResolutionOutcome, report: SynsetReport) -> dict:
-    model_keys = dict(outcome.matched_keys)
+def _run(raws, models, cfg: RunConfig) -> list[tuple[RawSynset, list[_Side]]]:
+    """Every synset resolved and analyzed under every model, in file order."""
+    return [(raw, [_analyze_side(raw, model, cfg) for model in models]) for raw in raws]
+
+
+def _synset_doc(side: _Side) -> dict:
+    report, resolved = side.report, side.outcome.resolved
+    model_keys = dict(zip(resolved.tokens, resolved.model_keys))
     return {
         "id": report.synset_id,
         "n": report.n,
-        "source_size": outcome.resolved.source_size,
+        "source_size": resolved.source_size,
         "partition_count": report.words[0].partition_count,
         "interior": sorted(report.interior),
         "words": [
@@ -318,17 +329,24 @@ def _synset_doc(outcome: ResolutionOutcome, report: SynsetReport) -> dict:
             }
             for w in report.words
         ],
-        "dropped": _dropped_docs(outcome),
+        "dropped": _dropped_docs(side.outcome),
     }
 
 
-def _skip_doc(raw: RawSynset, status: str, outcome: ResolutionOutcome, reason: str) -> dict:
+def _skip_doc(side: _Side) -> dict:
     return {
-        "id": raw.id,
-        "status": status,
-        "reason": reason,
-        "dropped": _dropped_docs(outcome),
+        "status": side.status,
+        "reason": side.reason,
+        "dropped": _dropped_docs(side.outcome),
     }
+
+
+def _skipped_lines(doc) -> list[str]:
+    if not doc["skipped"]:
+        return []
+    return ["skipped:"] + [
+        f"  {sk['id']}: {sk['status']}: {sk['reason']}" for sk in doc["skipped"]
+    ]
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -341,36 +359,42 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _execute(args) -> int:
+    """Load, parse, build the command's document, render and emit it."""
+    cfg = _config_from_args(args)
+    models = [_load_model(p) for p in cfg.model_paths]
+    raws = parse_synsets(cfg.synsets_path, cfg.synset_format)
+    if args.command == "partitions":
+        doc, nothing = _partitions_doc(args, cfg, models[0], raws), None
+    else:
+        doc, nothing = _PROJECTIONS[args.command](_run(raws, models, cfg))
+    render = _RENDERERS[args.command].get(cfg.output, _render_json)
+    _emit(cfg, render(doc))
+    if nothing:
+        print(nothing, file=sys.stderr)
+        return EXIT_NOTHING
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
 
-def _cmd_analyze(args) -> int:
-    cfg = _config_from_args(args)
-    model = _load_model(cfg.model_paths[0])
-    raws = parse_synsets(cfg.synsets_path, cfg.synset_format)
-    analyzed, skipped = [], []
-    for raw in raws:
-        status, outcome, payload = _analyze_raw(raw, model, cfg)
-        if status == "analyzed":
-            analyzed.append(_synset_doc(outcome, payload))
-        else:
-            skipped.append(_skip_doc(raw, status, outcome, payload))
+def _analyze_doc(results):
+    """The analyze document and, when nothing was analyzed, the message."""
+    sides = [(raw, side) for raw, (side,) in results]
+    analyzed = [_synset_doc(side) for _, side in sides if side.report]
+    skipped = [{"id": raw.id, **_skip_doc(side)} for raw, side in sides if not side.report]
     doc = {
         "synsets": analyzed,
         "skipped": skipped,
         "summary": {
-            "total": len(raws),
+            "total": len(sides),
             "analyzed": len(analyzed),
             "skipped": len(skipped),
         },
     }
-    renderers = {"json": _render_json, "csv": _analyze_csv, "table": _analyze_table}
-    _emit(cfg, renderers[cfg.output](doc))
-    if not analyzed:
-        print("no synsets analyzed", file=sys.stderr)
-        return EXIT_NOTHING
-    return EXIT_OK
+    return doc, None if analyzed else "no synsets analyzed"
 
 
 def _analyze_csv(doc) -> str:
@@ -415,10 +439,7 @@ def _analyze_table(doc) -> str:
             lines.append(f"  dropped: {d['token']} ({d['reason']})")
         lines.append("")
     if doc["skipped"]:
-        lines.append("skipped:")
-        for sk in doc["skipped"]:
-            lines.append(f"  {sk['id']}: {sk['status']}: {sk['reason']}")
-        lines.append("")
+        lines.extend(_skipped_lines(doc) + [""])
     sm = doc["summary"]
     lines.append(
         f"total={sm['total']} analyzed={sm['analyzed']} skipped={sm['skipped']}"
@@ -430,10 +451,9 @@ def _analyze_table(doc) -> str:
 # partitions
 
 
-def _cmd_partitions(args) -> int:
-    cfg = _config_from_args(args)
-    model = _load_model(cfg.model_paths[0])
-    raws = parse_synsets(cfg.synsets_path, cfg.synset_format)
+def _partitions_doc(args, cfg: RunConfig, model: EmbeddingModel, raws) -> dict:
+    """One row per partition of the focus word, and totals from the same
+    table, so they equal what analyze reports for that word."""
     raw = next((r for r in raws if r.id == args.synset_id), None)
     if raw is None:
         raise SynsetGeomError(
@@ -452,58 +472,46 @@ def _cmd_partitions(args) -> int:
             f"(resolved words: {', '.join(tokens)})"
         )
     focus = tokens.index(args.token)
-    outcomes = partition_outcomes(synset, focus, eps=cfg.eps, max_size=cfg.max_synset_size)
-    rank_doubled = sum(po.r_doubled for po in outcomes)
-    remaining = [t for i, t in enumerate(tokens) if i != focus]
-    rows = []
-    for i, po in enumerate(outcomes, start=1):
-        i1, i2 = po.partition.split_indices(len(remaining))
-        rows.append(
-            {
-                "index": i,
-                "s1": [remaining[j] for j in i1],
-                "s2": [remaining[j] for j in i2],
-                "sim": _fixed(po.sim, 6),
-                "sim1": _fixed(po.sim1, 6),
-                "sim2": _fixed(po.sim2, 6),
-                "delta_rank": _rank_value(po.r_doubled),
-                "delta_centrality": _fixed(po.centrality_delta, 4),
-            }
-        )
-    doc = {
+    table = partition_outcomes(synset, focus, eps=cfg.eps, max_size=cfg.max_synset_size)
+    totals = _attributes(args.token, table, cfg.eps)
+    remaining = tokens[:focus] + tokens[focus + 1 :]
+    columns = zip(*(column.tolist() for column in table))
+    rows = [
+        {
+            "index": i,
+            "s1": [t for j, t in enumerate(remaining) if mask >> j & 1],
+            "s2": [t for j, t in enumerate(remaining) if not mask >> j & 1],
+            "sim": _fixed(sim, 6),
+            "sim1": _fixed(sim1, 6),
+            "sim2": _fixed(sim2, 6),
+            "delta_rank": _rank_value(r_doubled),
+            "delta_centrality": _fixed(delta, 4),
+        }
+        for i, (mask, sim, sim1, sim2, r_doubled, delta) in enumerate(columns, start=1)
+    ]
+    return {
         "id": raw.id,
         "focus": args.token,
         "n": synset.n,
-        "partition_count": len(outcomes),
+        "partition_count": totals.partition_count,
         "partitions": rows,
         "totals": {
-            "rank": _rank_value(rank_doubled),
-            "centrality": _fixed(math.fsum(po.centrality_delta for po in outcomes), 4),
-            # interior <=> every split contributes +1 on both sides
-            "in_interior": rank_doubled == 2 * len(outcomes),
+            "rank": _rank_value(totals.rank_doubled),
+            "centrality": _fixed(totals.centrality, 4),
+            "in_interior": totals.in_interior,
         },
     }
-    renderers = {
-        "json": _render_json,
-        "csv": _partitions_csv,
-        "table": _partitions_table,
-    }
-    _emit(cfg, renderers[cfg.output](doc))
-    return EXIT_OK
+
+
+def _partition_cells(p) -> tuple[str, ...]:
+    """The similarity and contribution cells of one partition row."""
+    sims = (_sim_str(p["sim"]), _sim_str(p["sim1"]), _sim_str(p["sim2"]))
+    return sims + (str(p["delta_rank"]), _cent_str(p["delta_centrality"]))
 
 
 def _partitions_csv(doc) -> str:
     rows = [
-        (
-            str(p["index"]),
-            "|".join(p["s1"]),
-            "|".join(p["s2"]),
-            _sim_str(p["sim"]),
-            _sim_str(p["sim1"]),
-            _sim_str(p["sim2"]),
-            str(p["delta_rank"]),
-            _cent_str(p["delta_centrality"]),
-        )
+        (str(p["index"]), "|".join(p["s1"]), "|".join(p["s2"]), *_partition_cells(p))
         for p in doc["partitions"]
     ]
     t = doc["totals"]
@@ -523,18 +531,8 @@ def _partitions_table(doc) -> str:
     ]
     rows = [("#", "s1", "s2", "sim", "sim1", "sim2", "Δrank", "Δcentrality")]
     for p in doc["partitions"]:
-        rows.append(
-            (
-                str(p["index"]),
-                "{" + ", ".join(p["s1"]) + "}",
-                "{" + ", ".join(p["s2"]) + "}",
-                _sim_str(p["sim"]),
-                _sim_str(p["sim1"]),
-                _sim_str(p["sim2"]),
-                str(p["delta_rank"]),
-                _cent_str(p["delta_centrality"]),
-            )
-        )
+        blocks = ("{" + ", ".join(p["s1"]) + "}", "{" + ", ".join(p["s2"]) + "}")
+        rows.append((str(p["index"]), *blocks, *_partition_cells(p)))
     lines.extend(_align(rows, indent="  "))
     t = doc["totals"]
     interior = "member of interior" if t["in_interior"] else "not in interior"
@@ -548,11 +546,10 @@ def _partitions_table(doc) -> str:
 # compare
 
 
-def _compare_side(raw: RawSynset, model: EmbeddingModel, cfg: RunConfig) -> dict:
-    status, outcome, payload = _analyze_raw(raw, model, cfg)
-    if status != "analyzed":
-        return {"status": status, "reason": payload, "dropped": _dropped_docs(outcome)}
-    report = payload
+def _compare_side(side: _Side) -> dict:
+    if not side.report:
+        return _skip_doc(side)
+    report = side.report
     return {
         "status": "analyzed",
         "n": report.n,
@@ -562,36 +559,28 @@ def _compare_side(raw: RawSynset, model: EmbeddingModel, cfg: RunConfig) -> dict
     }
 
 
-def _cmd_compare(args) -> int:
-    cfg = _config_from_args(args)
-    models = [_load_model(p) for p in cfg.model_paths]
-    raws = parse_synsets(cfg.synsets_path, cfg.synset_format)
+def _compare_doc(results):
+    """The compare document and, when no synset was compared, the message."""
     rows = []
     compared = differing = 0
-    for raw in raws:
-        sides = [_compare_side(raw, model, cfg) for model in models]
-        comparable = all(s["status"] == "analyzed" for s in sides)
+    for raw, sides in results:
         differs = None
-        if comparable:
+        if all(side.report for side in sides):
             compared += 1
-            differs = sides[0]["interior_size"] != sides[1]["interior_size"]
+            differs = len(sides[0].report.interior) != len(sides[1].report.interior)
             differing += differs
-        rows.append({"id": raw.id, "models": sides, "differs": differs})
+        rows.append({"id": raw.id, "models": [_compare_side(s) for s in sides],
+                     "differs": differs})
     doc = {
         "synsets": rows,
         "summary": {
-            "total": len(raws),
+            "total": len(results),
             "compared": compared,
-            "skipped": len(raws) - compared,
+            "skipped": len(results) - compared,
             "differing": differing,
         },
     }
-    renderers = {"json": _render_json, "csv": _compare_csv, "table": _compare_table}
-    _emit(cfg, renderers[cfg.output](doc))
-    if not compared:
-        print("no synsets compared", file=sys.stderr)
-        return EXIT_NOTHING
-    return EXIT_OK
+    return doc, None if compared else "no synsets compared"
 
 
 def _compare_csv(doc) -> str:
@@ -647,36 +636,26 @@ def _compare_table(doc) -> str:
 # audit
 
 
-def _cmd_audit(args) -> int:
-    cfg = _config_from_args(args)
-    model = _load_model(cfg.model_paths[0])
-    raws = parse_synsets(cfg.synsets_path, cfg.synset_format)
-    weak, skipped = [], []
-    analyzed = 0
-    for raw in raws:
-        status, outcome, payload = _analyze_raw(raw, model, cfg)
-        if status != "analyzed":
-            skipped.append(_skip_doc(raw, status, outcome, payload))
-            continue
-        analyzed += 1
-        report = payload
-        if not report.interior:
-            weak.append(
-                {"id": raw.id, "n": report.n, "words": [w.token for w in report.words]}
-            )
+def _audit_doc(results):
+    """The audit document; audit succeeds even when nothing was analyzed."""
+    sides = [(raw, side) for raw, (side,) in results]
+    weak = [
+        {"id": raw.id, "n": side.report.n, "words": [w.token for w in side.report.words]}
+        for raw, side in sides
+        if side.report and not side.report.interior
+    ]
+    skipped = [{"id": raw.id, **_skip_doc(side)} for raw, side in sides if not side.report]
     doc = {
         "weak": weak,
         "skipped": skipped,
         "summary": {
-            "total": len(raws),
-            "analyzed": analyzed,
+            "total": len(sides),
+            "analyzed": len(sides) - len(skipped),
             "skipped": len(skipped),
             "weak": len(weak),
         },
     }
-    renderers = {"json": _render_json, "csv": _audit_csv, "table": _audit_table}
-    _emit(cfg, renderers[cfg.output](doc))
-    return EXIT_OK
+    return doc, None
 
 
 def _audit_csv(doc) -> str:
@@ -692,10 +671,7 @@ def _audit_table(doc) -> str:
             lines.append(f"  {w['id']}  n={w['n']}  words: {', '.join(w['words'])}")
     else:
         lines.append("no weak synsets")
-    if doc["skipped"]:
-        lines.append("skipped:")
-        for sk in doc["skipped"]:
-            lines.append(f"  {sk['id']}: {sk['status']}: {sk['reason']}")
+    lines.extend(_skipped_lines(doc))
     sm = doc["summary"]
     lines.append(
         f"total={sm['total']} analyzed={sm['analyzed']} "
@@ -707,18 +683,23 @@ def _audit_table(doc) -> str:
 # ---------------------------------------------------------------------------
 
 
+_PROJECTIONS = {"analyze": _analyze_doc, "compare": _compare_doc, "audit": _audit_doc}
+_RENDERERS = {
+    "analyze": {"csv": _analyze_csv, "table": _analyze_table},
+    "partitions": {"csv": _partitions_csv, "table": _partitions_table},
+    "compare": {"csv": _compare_csv, "table": _compare_table},
+    "audit": {"csv": _audit_csv, "table": _audit_table},
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
+        return _execute(parser.parse_args(argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_FATAL
-    except SynsetGeomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FATAL
-    except OSError as exc:
+    except (SynsetGeomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
     except MemoryError as exc:

@@ -1,56 +1,26 @@
-"""Word embedding models and the similarity primitives built on them.
+"""Word embedding models in the word2vec text and binary formats.
 
-Models are read from the word2vec text or binary format.  Every vector is
-L2-normalized at load time and stored as float32; all downstream math is
-angular, so the original norms carry no information.  Sums and dot products
-accumulate in float64.
+Every vector is L2-normalized at load time and stored as float32; all
+downstream math is angular, so the original norms carry no information.
+Sums and dot products accumulate in float64.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
-from dataclasses import dataclass
+import os
+import zlib
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, ModelFormatError
+from .errors import ModelFormatError
 
 NORM_ATOL = 1e-5
 DEGENERATE_NORM = 1e-12
 
 _MAX_HEADER_BYTES = 128
 _MAX_TOKEN_BYTES = 10_000
-
-
-@dataclass(frozen=True, eq=False)
-class WordVector:
-    """A token together with its unit-length embedding row."""
-
-    token: str
-    components: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.components, dtype=np.float32)
-        object.__setattr__(self, "components", vec)
-        norm = float(np.linalg.norm(vec.astype(np.float64)))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(
-                f"vector for {self.token!r} is not unit length (norm={norm!r})"
-            )
-
-    @property
-    def dimension(self) -> int:
-        return self.components.shape[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, WordVector):
-            return NotImplemented
-        return self.token == other.token and np.array_equal(
-            self.components, other.components
-        )
-
-    def __hash__(self):
-        return hash((self.token, self.components.tobytes()))
 
 
 class EmbeddingModel:
@@ -104,13 +74,6 @@ class EmbeddingModel:
     def __contains__(self, token) -> bool:
         return token in self.index
 
-    def vector(self, token: str) -> WordVector | None:
-        """The unit vector for ``token``, or None if out of vocabulary."""
-        row = self.index.get(token)
-        if row is None:
-            return None
-        return WordVector(token, self.vectors[row])
-
     def __repr__(self):
         return f"EmbeddingModel(vocab_size={self.vocab_size}, dimension={self.dimension})"
 
@@ -120,34 +83,58 @@ def _normalize_rows(raw: np.ndarray, source: str) -> np.ndarray:
     if not np.all(np.isfinite(raw64)):
         row = int(np.nonzero(~np.isfinite(raw64).all(axis=1))[0][0])
         raise ModelFormatError(f"{source}: non-finite component in row {row}")
-    norms = np.linalg.norm(raw64, axis=1, keepdims=True)
-    zero = np.nonzero(norms[:, 0] <= DEGENERATE_NORM)[0]
-    if zero.size:
+    with np.errstate(over="ignore"):  # components past ~1e154 overflow to inf
+        norms = np.linalg.norm(raw64, axis=1, keepdims=True)
+    bad = np.nonzero(~((norms[:, 0] > DEGENERATE_NORM) & np.isfinite(norms[:, 0])))[0]
+    if bad.size:
         raise ModelFormatError(
-            f"{source}: zero-norm vector in row {int(zero[0])} (cannot normalize)"
+            f"{source}: zero-norm or overflowing vector in row {int(bad[0])} "
+            "(cannot normalize)"
         )
     return (raw64 / norms).astype(np.float32)
 
 
-def _parse_header(text: str, source: str) -> tuple[int, int]:
+def _parse_header(text: str, path: str, binary: bool) -> tuple[int, int]:
+    """The declared (vocab_size, dimension).  An uncompressed file too small
+    to hold that many entries is refused before its rows are allocated."""
     parts = text.split()
     if len(parts) != 2:
-        raise ModelFormatError(f"{source}: malformed header {text!r}")
+        raise ModelFormatError(f"{path}: malformed header {text!r}")
     try:
         vocab_size, dimension = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ModelFormatError(f"{source}: malformed header {text!r}") from None
+        raise ModelFormatError(f"{path}: malformed header {text!r}") from None
     if vocab_size <= 0 or dimension <= 0:
         raise ModelFormatError(
-            f"{source}: header must declare positive sizes, got {text!r}"
+            f"{path}: header must declare positive sizes, got {text!r}"
+        )
+    # an entry is at least a one-byte token plus, in binary, a 0x20 and the
+    # float32s, in text a space and a digit per component
+    min_entry = 4 * dimension + 2 if binary else 2 * dimension + 1
+    size = os.path.getsize(path)
+    if not path.endswith(".gz") and vocab_size * min_entry > size:
+        raise ModelFormatError(
+            f"{path}: truncated: header declares {vocab_size} entries of "
+            f"dimension {dimension}, more than its {size} bytes can hold"
         )
     return vocab_size, dimension
 
 
+@contextlib.contextmanager
 def _open_model(path: str, binary: bool):
-    if path.endswith(".gz"):
-        return gzip.open(path, "rb" if binary else "rt", encoding=None if binary else "utf-8")
-    return open(path, "rb" if binary else "r", encoding=None if binary else "utf-8")
+    """The model file, with a damaged gzip stream or undecodable text
+    reported as ModelFormatError."""
+    opener = gzip.open if path.endswith(".gz") else open
+    mode, encoding = ("rb", None) if binary else ("rt", "utf-8")
+    try:
+        with opener(path, mode, encoding=encoding) as fin:
+            yield fin
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ModelFormatError(f"{path}: damaged gzip stream: {exc}") from None
+    except UnicodeDecodeError:
+        raise ModelFormatError(
+            f"{path}: not valid UTF-8 text (binary model? use a .bin path)"
+        ) from None
 
 
 def load_text_model(path) -> EmbeddingModel:
@@ -160,37 +147,32 @@ def load_text_model(path) -> EmbeddingModel:
     on load.
     """
     path = str(path)
-    try:
-        with _open_model(path, binary=False) as fin:
-            header = fin.readline()
-            if not header:
-                raise ModelFormatError(f"{path}: empty file")
-            vocab_size, dimension = _parse_header(header, path)
-            words = []
-            raw = np.empty((vocab_size, dimension), dtype=np.float64)
-            for i in range(vocab_size):
-                line = fin.readline()
-                if not line:
-                    raise ModelFormatError(
-                        f"{path}: truncated: expected {vocab_size} entries, found {i}"
-                    )
-                parts = line.rstrip().split(" ")
-                if len(parts) != dimension + 1:
-                    raise ModelFormatError(
-                        f"{path}: line {i + 2}: expected token plus {dimension} "
-                        f"components, found {len(parts) - 1}"
-                    )
-                words.append(parts[0])
-                try:
-                    raw[i] = [float(x) for x in parts[1:]]
-                except ValueError:
-                    raise ModelFormatError(
-                        f"{path}: line {i + 2}: unparseable component"
-                    ) from None
-    except UnicodeDecodeError:
-        raise ModelFormatError(
-            f"{path}: not valid UTF-8 text (binary model? use a .bin path)"
-        ) from None
+    with _open_model(path, binary=False) as fin:
+        header = fin.readline()
+        if not header:
+            raise ModelFormatError(f"{path}: empty file")
+        vocab_size, dimension = _parse_header(header, path, binary=False)
+        words = []
+        raw = np.empty((vocab_size, dimension), dtype=np.float64)
+        for i in range(vocab_size):
+            line = fin.readline()
+            if not line:
+                raise ModelFormatError(
+                    f"{path}: truncated: expected {vocab_size} entries, found {i}"
+                )
+            parts = line.rstrip().split(" ")
+            if len(parts) != dimension + 1:
+                raise ModelFormatError(
+                    f"{path}: line {i + 2}: expected token plus {dimension} "
+                    f"components, found {len(parts) - 1}"
+                )
+            words.append(parts[0])
+            try:
+                raw[i] = [float(x) for x in parts[1:]]
+            except ValueError:
+                raise ModelFormatError(
+                    f"{path}: line {i + 2}: unparseable component"
+                ) from None
     return EmbeddingModel(words, _normalize_rows(raw, path))
 
 
@@ -206,7 +188,7 @@ def load_binary_model(path) -> EmbeddingModel:
     with _open_model(path, binary=True) as fin:
         header = _read_line_bytes(fin, path)
         vocab_size, dimension = _parse_header(
-            header.decode("ascii", errors="replace"), path
+            header.decode("ascii", errors="replace"), path, binary=True
         )
         row_bytes = 4 * dimension
         words = []
@@ -275,54 +257,3 @@ def save_binary_model(model: EmbeddingModel, path) -> None:
             fout.write(word.encode("utf-8") + b" ")
             fout.write(row.astype("<f4").tobytes())
             fout.write(b"\n")
-
-
-def _as_array(v) -> np.ndarray:
-    if isinstance(v, WordVector):
-        return v.components.astype(np.float64)
-    return np.asarray(v, dtype=np.float64)
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity of two unit vectors, clamped to [-1, 1].
-
-    Vectors are unit length by construction, so this is a bare dot product;
-    the clamp absorbs float rounding slightly past +/-1.
-    """
-    av, bv = _as_array(a), _as_array(b)
-    if av.shape != bv.shape:
-        raise ValueError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    return float(np.clip(np.dot(av, bv), -1.0, 1.0))
-
-
-def normalized_mean(vectors) -> np.ndarray:
-    """Unit vector in the direction of the component-wise sum.
-
-    Raises DegenerateGeometryError when the sum is numerically zero (the
-    direction is undefined and guessing would corrupt rank downstream).
-    """
-    rows = [_as_array(v) for v in vectors]
-    if not rows:
-        raise ValueError("normalized_mean of an empty set")
-    total = np.sum(rows, axis=0)
-    norm = float(np.linalg.norm(total))
-    if norm <= DEGENERATE_NORM:
-        raise DegenerateGeometryError(
-            f"vectors cancel: sum norm {norm!r} is below {DEGENERATE_NORM}"
-        )
-    return total / norm
-
-
-def set_similarity(set_a, set_b) -> float:
-    """Similarity of two vector sets: the cosine between their normalized
-    means, evaluated from the distance between them.
-
-    For unit vectors, 1 - ||m1 - m2||^2 / 2 equals their inner product
-    exactly; this evaluation saturates at exactly 1.0 when the two means
-    coincide up to float noise, so sets with the same direction compare as
-    perfectly similar instead of 1 - 1e-16.
-    """
-    m1 = normalized_mean(set_a)
-    m2 = normalized_mean(set_b)
-    d = m1 - m2
-    return float(np.clip(1.0 - 0.5 * np.dot(d, d), -1.0, 1.0))

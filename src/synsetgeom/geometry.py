@@ -16,28 +16,28 @@ are stored exactly as doubled integers in {-2..2}; word rank accordingly as
 ``rank_doubled``.  This keeps the interior/rank equivalence an exact integer
 comparison instead of a float one.
 
-Two engines compute the same tables
------------------------------------
-``analyze_synset`` scores every word of a synset from one subset-norm table.
-Every similarity the method needs is a function of the squared norms
-``q(T) = |sum of the vectors in T|**2`` over subsets T of the synset: for
-disjoint blocks A and B, ``<sum A, sum B> = (q(A+B) - q(A) - q(B)) / 2``, and
-a cosine is that inner product over ``sqrt(q(A) * q(B))``.  One table of
-``q`` over all ``2**n`` bitmasks is filled from the ``n x n`` Gram matrix in
-``O(2**n)`` additions, and each word then reads its ``2**(n-2) - 1`` splits
-from it.  The cost is ``O(n * 2**n)`` with no factor of the vector
-dimension, and the working set stays under ``80 * 2**n`` bytes (3.4 MB
-measured at n=16).
+One engine with an exact fallback
+---------------------------------
+Every per-word table, for ``analyze_synset`` and for ``partition_outcomes``
+alike, comes from ``_word_table``, which reads it from one subset-norm table
+of the synset.  Every similarity the method needs is a function of the
+squared norms ``q(T) = |sum of the vectors in T|**2`` over subsets T of the
+synset: for disjoint blocks A and B, ``<sum A, sum B> = (q(A+B) - q(A) -
+q(B)) / 2``, and a cosine is that inner product over ``sqrt(q(A) * q(B))``.
+One table of ``q`` over all ``2**n`` bitmasks is filled from the ``n x n``
+Gram matrix in ``O(2**n)`` additions, and each word then reads its
+``2**(n-2) - 1`` splits from it.  The cost is ``O(n * 2**n)`` with no factor
+of the vector dimension, and the working set stays under ``80 * 2**n``
+bytes (3.4 MB measured at n=16).
 
 The polarization identity loses precision when a block nearly cancels, so a
 word with any block below ``GRAM_MIN_BLOCK_Q`` is rescored on the vector
 path, ``_partition_table``: the block sums themselves, normalized and
 compared, in ``O(2**n * dim)`` time and under ``14 * dim * 2**n`` bytes
-per word.  That path also serves ``partition_outcomes``,
-``rank_and_centrality`` and ``interior_membership``, and it is the one that
-raises ``DegenerateGeometryError`` with the offending partition mask.
-Before either engine allocates, it estimates its working set from those
-bounds and raises ``SynsetSizeError`` if that exceeds ``MEMORY_BUDGET``.
+per word.  It is the one that raises ``DegenerateGeometryError`` with the
+offending partition mask.  Before either path allocates, it estimates its
+working set from those bounds and raises ``SynsetSizeError`` if that
+exceeds ``MEMORY_BUDGET``.
 
 Everything here is a pure function of its inputs; distinct synsets can be
 analyzed concurrently against a shared model.
@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embeddings import DEGENERATE_NORM, WordVector, set_similarity
+from .embeddings import DEGENERATE_NORM, NORM_ATOL
 from .errors import DegenerateGeometryError, SynsetSizeError
 
 DEFAULT_EPS = 1e-9
@@ -64,111 +64,91 @@ GRAM_MIN_BLOCK_Q = 1e-4
 MEMORY_BUDGET = 1 << 30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolvedSynset:
     """A synset whose words all map to model vectors.
 
-    ``words`` pairs each surface token with the vector it resolved to; the
-    vector's own token is the model key that matched (it may differ from the
-    surface token, e.g. a POS-tagged lemma).  ``source_size`` is the word
-    count before any out-of-vocabulary filtering.
+    ``tokens`` are the surface words in synset order and ``model_keys`` the
+    model entries they resolved to (a key may differ from its token, e.g. a
+    POS-tagged lemma).  ``vectors`` holds their unit rows as a read-only
+    float64 ``(n, dim)`` array.  ``source_size`` is the word count before
+    any out-of-vocabulary filtering.
     """
 
     id: str
-    words: tuple[tuple[str, WordVector], ...]
+    tokens: tuple[str, ...]
+    model_keys: tuple[str, ...]
+    vectors: np.ndarray
     source_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "words", tuple(self.words))
-        if not self.words:
+        tokens, keys = tuple(self.tokens), tuple(self.model_keys)
+        vectors = np.array(self.vectors, dtype=np.float64)
+        if not tokens:
             raise ValueError(f"synset {self.id!r} has no words")
-        seen = set()
-        dims = set()
-        for token, wv in self.words:
-            if token in seen:
-                raise ValueError(f"synset {self.id!r}: duplicate word {token!r}")
-            seen.add(token)
-            dims.add(wv.dimension)
-        if len(dims) != 1:
-            raise ValueError(f"synset {self.id!r}: mixed vector dimensions {dims}")
+        if len(set(tokens)) != len(tokens):
+            dup = next(t for i, t in enumerate(tokens) if t in tokens[:i])
+            raise ValueError(f"synset {self.id!r}: duplicate word {dup!r}")
+        if vectors.ndim != 2 or not len(tokens) == len(keys) == vectors.shape[0]:
+            raise ValueError(
+                f"synset {self.id!r}: expected {len(tokens)} rows of one dimension "
+                f"for {len(keys)} model keys, got vectors of shape {vectors.shape}"
+            )
+        norms = np.linalg.norm(vectors, axis=1)
+        bad = np.nonzero(~(np.abs(norms - 1.0) <= NORM_ATOL))[0]
+        if bad.size:
+            raise ValueError(
+                f"synset {self.id!r}: vector for {tokens[bad[0]]!r} is not unit "
+                f"length (norm={norms[bad[0]]!r})"
+            )
+        vectors.setflags(write=False)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "model_keys", keys)
+        object.__setattr__(self, "vectors", vectors)
 
     @classmethod
     def from_arrays(cls, synset_id, tokens, rows, source_size=None):
-        """Build a synset from raw rows, normalizing each to unit length."""
+        """Build a synset from raw rows, normalizing each to unit length and
+        storing it as float32, as a model does; each token is its own key."""
         rows = np.asarray(rows, dtype=np.float64)
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
         if np.any(norms <= DEGENERATE_NORM):
             raise ValueError(f"synset {synset_id!r}: zero-norm row")
-        unit = (rows / norms).astype(np.float32)
-        words = tuple(
-            (tok, WordVector(tok, row)) for tok, row in zip(tokens, unit, strict=True)
-        )
+        tokens = tuple(tokens)
         if source_size is None:
-            source_size = len(words)
-        return cls(synset_id, words, source_size)
+            source_size = len(tokens)
+        unit = (rows / norms).astype(np.float32)
+        return cls(synset_id, tokens, tokens, unit, source_size)
 
     @property
     def n(self) -> int:
-        return len(self.words)
+        return len(self.tokens)
 
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(token for token, _ in self.words)
-
-    def matrix(self) -> np.ndarray:
-        """The word vectors stacked as a float64 (n, dim) matrix."""
-        return np.stack([wv.components for _, wv in self.words]).astype(np.float64)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """One canonical two-block split of the words around ``focus_index``.
-
-    The mask ranges over the remaining words in synset order.  Bit 0 must be
-    set (canonical form); ops additionally reject the all-ones mask, which
-    would leave block 2 empty.
-    """
-
-    focus_index: int
-    mask: int
-
-    def __post_init__(self):
-        if self.focus_index < 0:
-            raise ValueError(f"negative focus index {self.focus_index}")
-        if self.mask < 1 or not (self.mask & 1):
-            raise ValueError(
-                f"mask {self.mask:#b} is not canonical (lowest remaining word "
-                "must be in block 1)"
-            )
-
-    def split_indices(self, remaining_count: int):
-        """Index pairs (block1, block2) into the remaining-word list."""
-        if self.mask >= (1 << remaining_count) - 1:
-            raise ValueError(
-                f"mask {self.mask:#b} leaves block 2 empty for "
-                f"{remaining_count} remaining words"
-            )
-        s1 = tuple(j for j in range(remaining_count) if self.mask >> j & 1)
-        s2 = tuple(j for j in range(remaining_count) if not self.mask >> j & 1)
-        return s1, s2
+    def __eq__(self, other):
+        if not isinstance(other, ResolvedSynset):
+            return NotImplemented
+        return (self.id, self.tokens, self.model_keys, self.source_size) == (
+            other.id, other.tokens, other.model_keys, other.source_size
+        ) and np.array_equal(self.vectors, other.vectors)
 
 
-@dataclass(frozen=True)
-class PartitionOutcome:
-    """Similarities and contributions of the focus word for one partition.
+class PartitionTable(NamedTuple):
+    """Per-partition outcomes of one focus word, one entry per canonical
+    partition in enumeration order.
 
     ``sim`` is the block-1/block-2 similarity without the focus word; sim1
     and sim2 are the similarities with the focus word joined to block 1
     resp. block 2.  ``r_doubled`` is twice the per-partition rank
-    contribution, exact in {-2..2}.
+    contribution, exact in {-2..2}, and ``centrality_delta`` is
+    ``(sim1 - sim) + (sim2 - sim)``.
     """
 
-    partition: Partition
-    sim: float
-    sim1: float
-    sim2: float
-    r_doubled: int
-    centrality_delta: float
+    masks: np.ndarray
+    sim: np.ndarray
+    sim1: np.ndarray
+    sim2: np.ndarray
+    r_doubled: np.ndarray
+    centrality_delta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -195,37 +175,16 @@ class SynsetReport:
     interior: frozenset[str]
 
 
-def enumerate_partitions(m: int):
-    """Yield the canonical masks of all two-block partitions of m words.
+def enumerate_partitions(m: int) -> np.ndarray:
+    """The canonical masks of all two-block partitions of m words, as an
+    int64 array in increasing order.
 
     Exactly 2**(m-1) - 1 masks (the Stirling number of the second kind for
     two blocks): bit 0 always set, the all-ones mask excluded.
     """
     if m < 2:
         raise SynsetSizeError(f"need at least 2 words to partition, got {m}")
-    for k in range((1 << (m - 1)) - 1):
-        yield (k << 1) | 1
-
-
-def sgn_eps(x: float, eps: float) -> int:
-    """Sign of x, flattened to 0 inside the closed band |x| <= eps."""
-    if eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
-    if abs(x) <= eps:
-        return 0
-    return 1 if x > 0 else -1
-
-
-class _PartitionTable(NamedTuple):
-    """Vectorized per-partition results for one focus word, in canonical
-    enumeration order."""
-
-    masks: np.ndarray
-    sim: np.ndarray
-    sim1: np.ndarray
-    sim2: np.ndarray
-    r_doubled: np.ndarray
-    centrality_delta: np.ndarray
+    return (np.arange((1 << (m - 1)) - 1, dtype=np.int64) << 1) | 1
 
 
 def _check_size(synset: ResolvedSynset, max_size: int) -> None:
@@ -242,14 +201,6 @@ def _check_size(synset: ResolvedSynset, max_size: int) -> None:
         )
 
 
-def _check_focus(synset: ResolvedSynset, focus: int) -> None:
-    if not 0 <= focus < synset.n:
-        raise IndexError(
-            f"focus index {focus} out of range for synset {synset.id!r} "
-            f"of size {synset.n}"
-        )
-
-
 def _check_budget(synset: ResolvedSynset, nbytes: int, table: str) -> None:
     if nbytes > MEMORY_BUDGET:
         raise SynsetSizeError(
@@ -258,30 +209,27 @@ def _check_budget(synset: ResolvedSynset, nbytes: int, table: str) -> None:
         )
 
 
-def _canonical_masks(m: int) -> np.ndarray:
-    """The masks of ``enumerate_partitions(m)`` as an int64 array."""
-    return (np.arange((1 << (m - 1)) - 1, dtype=np.int64) << 1) | 1
-
-
 def _sgn_band(deltas: np.ndarray, eps: float) -> np.ndarray:
+    """Signs of the deltas, flattened to 0 inside the closed band |x| <= eps."""
     return np.where(np.abs(deltas) <= eps, 0, np.sign(deltas)).astype(np.int64)
 
 
-def _outcome_table(masks, sim, sim1, sim2, eps: float) -> _PartitionTable:
+def _outcome_table(masks, sim, sim1, sim2, eps: float) -> PartitionTable:
     d1 = sim1 - sim
     d2 = sim2 - sim
     r_doubled = _sgn_band(d1, eps) + _sgn_band(d2, eps)
-    return _PartitionTable(masks, sim, sim1, sim2, r_doubled, d1 + d2)
+    return PartitionTable(masks, sim, sim1, sim2, r_doubled, d1 + d2)
 
 
-def _partition_table(synset: ResolvedSynset, focus: int, eps: float) -> _PartitionTable:
-    """All canonical-partition outcomes for one focus word.
+def _partition_table(synset: ResolvedSynset, focus: int, eps: float) -> PartitionTable:
+    """All canonical-partition outcomes for one focus word, from the block
+    vectors themselves (the exact fallback of ``_word_table``).
 
     Block sums are built once via an incremental subset-sum table over the
     non-anchor remaining words, so the whole table costs O(2**n * dim)
     instead of O(n * 2**n * dim).
     """
-    vecs = synset.matrix()
+    vecs = synset.vectors
     n, dim = vecs.shape
     # the block-sum arrays and the temporaries of normalizing and comparing them
     _check_budget(synset, (56 * dim) << (n - 2), "vector-path table")
@@ -302,7 +250,7 @@ def _partition_table(synset: ResolvedSynset, focus: int, eps: float) -> _Partiti
     s2 = rest.sum(axis=0) - s1
     s1v = s1 + v
     s2v = s2 + v
-    masks = _canonical_masks(m)
+    masks = enumerate_partitions(m)
 
     def _normalize(block, label):
         # in place: all four sum arrays are fully formed above this point
@@ -323,8 +271,8 @@ def _partition_table(synset: ResolvedSynset, focus: int, eps: float) -> _Partiti
     m2v = _normalize(s2v, "S2+v")
 
     def _chordal_sim(a, b):
-        # cosine of the means via their distance: saturates at exactly 1.0
-        # when the directions coincide (see embeddings.set_similarity)
+        # for unit vectors 1 - |a - b|**2 / 2 is their inner product; this
+        # form saturates at exactly 1.0 when the directions coincide
         d = a - b
         return np.clip(1.0 - 0.5 * np.einsum("ij,ij->i", d, d), -1.0, 1.0)
 
@@ -333,10 +281,19 @@ def _partition_table(synset: ResolvedSynset, focus: int, eps: float) -> _Partiti
     )
 
 
-def _subset_norms(gram: np.ndarray) -> np.ndarray:
-    """``q[T] = |sum of the rows in T|**2`` for every bitmask T over the rows
-    whose Gram matrix is given, in O(2**n) additions."""
-    n = gram.shape[0]
+def _subset_norms(synset: ResolvedSynset) -> np.ndarray:
+    """``q[T] = |sum of the vectors in T|**2`` for every bitmask T over the
+    synset's words, up to one common scale, in O(2**n) additions."""
+    n = synset.n
+    _check_budget(synset, 80 << n, "subset-norm table")
+    vecs = synset.vectors
+    # a repeated vector reads the Gram entries of its first occurrence, so
+    # they are bit-identical; a common scale leaves every cosine unchanged
+    # and makes a synset of one repeated vector exact
+    first: dict[bytes, int] = {}
+    same = [first.setdefault(row.tobytes(), i) for i, row in enumerate(vecs)]
+    gram = (vecs @ vecs.T)[np.ix_(same, same)]
+    gram /= gram[0, 0]
     q = np.zeros(1 << n)
     for j in range(n):
         lo = 1 << j
@@ -347,17 +304,20 @@ def _subset_norms(gram: np.ndarray) -> np.ndarray:
     return q
 
 
-def _gram_table(q: np.ndarray, n: int, focus: int, masks: np.ndarray, eps: float):
-    """One word's partition table read from the subset norms ``q``, or None
-    when one of its blocks is too close to cancelling to trust."""
+def _word_table(
+    synset: ResolvedSynset, q: np.ndarray, focus: int, masks: np.ndarray, eps: float
+) -> PartitionTable:
+    """One word's partition table, read from the synset's subset norms
+    ``q``; a word with a block too close to cancelling to trust is rescored
+    on the vector path."""
     bit = 1 << focus
-    full = (1 << n) - 1
+    full = (1 << synset.n) - 1
     low = masks & (bit - 1)
     s1 = low | ((masks ^ low) << 1)  # remaining-word masks -> synset masks
     s2 = (full ^ bit) ^ s1
     q1, q2, q1v, q2v = q[s1], q[s2], q[s1 | bit], q[s2 | bit]
     if min(q1.min(), q2.min(), q1v.min(), q2v.min()) < GRAM_MIN_BLOCK_Q:
-        return None
+        return _partition_table(synset, focus, eps)
 
     def _cos(q_ab, qa, qb):
         # <a, b> = (q(a + b) - q(a) - q(b)) / 2 for disjoint blocks a, b
@@ -373,55 +333,17 @@ def _gram_table(q: np.ndarray, n: int, focus: int, masks: np.ndarray, eps: float
     )
 
 
-def _table_membership(table: _PartitionTable, eps: float) -> bool:
+def _attributes(token: str, table: PartitionTable, eps: float) -> WordAttributes:
+    """Sum one word's table into its rank, centrality and interior
+    membership (strict improvement on both sides of every split)."""
     d1 = table.sim1 - table.sim
     d2 = table.sim2 - table.sim
-    return bool(np.all((d1 > eps) & (d2 > eps)))
-
-
-def _attributes(token: str, table: _PartitionTable, eps: float) -> WordAttributes:
     return WordAttributes(
         token=token,
         rank_doubled=int(table.r_doubled.sum()),
         centrality=float(table.centrality_delta.sum()),
-        in_interior=_table_membership(table, eps),
+        in_interior=bool(np.all((d1 > eps) & (d2 > eps))),
         partition_count=int(table.masks.size),
-    )
-
-
-def partition_outcome(
-    synset: ResolvedSynset,
-    focus: int,
-    partition: Partition,
-    eps: float = DEFAULT_EPS,
-) -> PartitionOutcome:
-    """Outcome of a single partition, computed directly from block means."""
-    _check_focus(synset, focus)
-    if synset.n < 3:
-        raise SynsetSizeError(
-            f"synset {synset.id!r} has {synset.n} words; need at least 3"
-        )
-    if partition.focus_index != focus:
-        raise ValueError(
-            f"partition is for focus {partition.focus_index}, not {focus}"
-        )
-    remaining = [wv for i, (_, wv) in enumerate(synset.words) if i != focus]
-    i1, i2 = partition.split_indices(len(remaining))
-    v = synset.words[focus][1]
-    block1 = [remaining[j] for j in i1]
-    block2 = [remaining[j] for j in i2]
-    try:
-        sim = set_similarity(block1, block2)
-        sim1 = set_similarity(block1 + [v], block2)
-        sim2 = set_similarity(block1, block2 + [v])
-    except DegenerateGeometryError as exc:
-        raise DegenerateGeometryError(
-            f"synset {synset.id!r}, focus {synset.tokens[focus]!r}, "
-            f"partition mask {partition.mask:#b}: {exc}"
-        ) from exc
-    r_doubled = sgn_eps(sim1 - sim, eps) + sgn_eps(sim2 - sim, eps)
-    return PartitionOutcome(
-        partition, sim, sim1, sim2, r_doubled, (sim1 - sim) + (sim2 - sim)
     )
 
 
@@ -430,47 +352,17 @@ def partition_outcomes(
     focus: int,
     eps: float = DEFAULT_EPS,
     max_size: int = DEFAULT_MAX_SYNSET_SIZE,
-) -> tuple[PartitionOutcome, ...]:
-    """Outcomes for every canonical partition, in enumeration order."""
+) -> PartitionTable:
+    """Outcomes of every canonical partition for one focus word, read from
+    the same table ``analyze_synset`` reads that word from."""
     _check_size(synset, max_size)
-    _check_focus(synset, focus)
-    t = _partition_table(synset, focus, eps)
-    return tuple(
-        PartitionOutcome(
-            Partition(focus, int(mask)),
-            float(t.sim[i]),
-            float(t.sim1[i]),
-            float(t.sim2[i]),
-            int(t.r_doubled[i]),
-            float(t.centrality_delta[i]),
+    if not 0 <= focus < synset.n:
+        raise IndexError(
+            f"focus index {focus} out of range for synset {synset.id!r} "
+            f"of size {synset.n}"
         )
-        for i, mask in enumerate(t.masks)
-    )
-
-
-def rank_and_centrality(
-    synset: ResolvedSynset,
-    focus: int,
-    eps: float = DEFAULT_EPS,
-    max_size: int = DEFAULT_MAX_SYNSET_SIZE,
-) -> WordAttributes:
-    """Sum per-partition contributions into the focus word's attributes."""
-    _check_size(synset, max_size)
-    _check_focus(synset, focus)
-    return _attributes(synset.tokens[focus], _partition_table(synset, focus, eps), eps)
-
-
-def interior_membership(
-    synset: ResolvedSynset,
-    focus: int,
-    eps: float = DEFAULT_EPS,
-    max_size: int = DEFAULT_MAX_SYNSET_SIZE,
-) -> bool:
-    """Whether adding the focus word to either block strictly increases the
-    block similarity, for every canonical partition."""
-    _check_size(synset, max_size)
-    _check_focus(synset, focus)
-    return _table_membership(_partition_table(synset, focus, eps), eps)
+    q = _subset_norms(synset)
+    return _word_table(synset, q, focus, enumerate_partitions(synset.n - 1), eps)
 
 
 def analyze_synset(
@@ -485,23 +377,12 @@ def analyze_synset(
     docstring).
     """
     _check_size(synset, max_size)
-    n = synset.n
-    _check_budget(synset, 80 << n, "subset-norm table")
-    vecs = synset.matrix()
-    # a repeated vector reads the Gram entries of its first occurrence, so
-    # they are bit-identical; a common scale leaves every cosine unchanged
-    # and makes a synset of one repeated vector exact
-    first: dict[bytes, int] = {}
-    same = [first.setdefault(row.tobytes(), i) for i, row in enumerate(vecs)]
-    gram = (vecs @ vecs.T)[np.ix_(same, same)]
-    q = _subset_norms(gram / gram[0, 0])
-    masks = _canonical_masks(n - 1)
-    attrs = []
-    for focus in range(n):
-        table = _gram_table(q, n, focus, masks, eps)
-        if table is None:
-            table = _partition_table(synset, focus, eps)
-        attrs.append(_attributes(synset.tokens[focus], table, eps))
+    q = _subset_norms(synset)
+    masks = enumerate_partitions(synset.n - 1)
+    attrs = [
+        _attributes(token, _word_table(synset, q, focus, masks, eps), eps)
+        for focus, token in enumerate(synset.tokens)
+    ]
     attrs.sort(key=lambda w: (-w.rank_doubled, -w.centrality, w.token))
     interior = frozenset(w.token for w in attrs if w.in_interior)
     return SynsetReport(synset.id, synset.n, tuple(attrs), interior)

@@ -7,17 +7,21 @@ Two input formats are supported:
 * JSONL: one object per line with fields ``id``, ``words`` and an optional
   ``headword``.
 
-Resolution maps each word to a model vector under a configurable policy:
-exact lookup first, then the word with each tag suffix appended (models
-keyed by POS-tagged lemmas), then lowercase variants when enabled.  The
-first hit wins and the matched model key travels with the vector, so
-reports can show exactly which entry was used.
+Files are UTF-8, with or without a byte-order mark.  Resolution maps each
+word to a model vector under a configurable policy: exact lookup first, then
+the word with each tag suffix appended (models keyed by POS-tagged lemmas),
+then lowercase variants when enabled.  The first hit wins and the matched
+model key travels with the vector, so reports can show exactly which entry
+was used.  A word whose key an earlier word of the synset already took is
+dropped, so no vector is counted twice.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .embeddings import EmbeddingModel
 from .errors import ResolutionError, SynsetParseError
@@ -33,6 +37,9 @@ MIN_SYNSET_SIZE = 3  # rank/interior are undefined below this
 STATUS_RESOLVED = "resolved"
 STATUS_TOO_SMALL = "too-small-after-filter"
 STATUS_SKIPPED = "skipped"
+
+DROP_OOV = "out-of-vocabulary"
+DROP_DUPLICATE_KEY = "duplicate-model-key"
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,13 @@ class ResolutionOutcome:
     resolved: ResolvedSynset | None
     dropped_words: tuple[tuple[str, str], ...]  # (token, reason)
     status: str
-    matched_keys: tuple[tuple[str, str], ...] = field(default=())  # (token, model key)
+
+    @property
+    def matched_keys(self) -> tuple[tuple[str, str], ...]:
+        """(token, model key) for each resolved word; empty when unresolved."""
+        if self.resolved is None:
+            return ()
+        return tuple(zip(self.resolved.tokens, self.resolved.model_keys))
 
 
 def parse_synsets(path, format: str) -> list[RawSynset]:
@@ -73,17 +86,23 @@ def parse_synsets(path, format: str) -> list[RawSynset]:
     if format not in SYNSET_FORMATS:
         raise ValueError(f"unknown synset format {format!r}; choose from {SYNSET_FORMATS}")
     parse_line = _parse_tsv_line if format == "tsv" else _parse_jsonl_line
+    with open(str(path), "rb") as fin:
+        data = fin.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SynsetParseError(f"not valid UTF-8: {exc.reason}", line=line) from None
     synsets = []
     seen_ids = set()
-    with open(str(path), encoding="utf-8") as fin:
-        for lineno, line in enumerate(fin, start=1):
-            if not line.strip():
-                continue
-            raw = parse_line(line.rstrip("\n"), lineno)
-            if raw.id in seen_ids:
-                raise SynsetParseError(f"duplicate synset id {raw.id!r}", line=lineno)
-            seen_ids.add(raw.id)
-            synsets.append(raw)
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if not line.strip():
+            continue
+        raw = parse_line(line.rstrip("\n"), lineno)
+        if raw.id in seen_ids:
+            raise SynsetParseError(f"duplicate synset id {raw.id!r}", line=lineno)
+        seen_ids.add(raw.id)
+        synsets.append(raw)
     return synsets
 
 
@@ -158,32 +177,31 @@ def resolve(
 ) -> ResolutionOutcome:
     """Look every word up in the model and apply the OOV policy.
 
-    Word order is preserved; resolution is deterministic.  Synsets with
-    fewer than 3 surviving words cannot be analyzed and come back as
-    too-small-after-filter.
+    Word order is preserved; resolution is deterministic.  A word that
+    resolves to a key an earlier word already took is dropped as
+    duplicate-model-key.  Synsets with fewer than 3 surviving words cannot
+    be analyzed and come back as too-small-after-filter.
     """
-    kept = []
+    tokens, keys = [], []
     dropped = []
     for token in synset.words:
-        wv = None
-        for candidate in _candidates(token, policy):
-            wv = model.vector(candidate)
-            if wv is not None:
-                break
-        if wv is None:
+        key = next((c for c in _candidates(token, policy) if c in model.index), None)
+        if key is None:
             if policy.mode == "fail":
                 raise ResolutionError(
                     f"synset {synset.id!r}: word {token!r} not in model vocabulary"
                 )
-            dropped.append((token, "out-of-vocabulary"))
+            dropped.append((token, DROP_OOV))
+        elif key in keys:
+            dropped.append((token, DROP_DUPLICATE_KEY))
         else:
-            kept.append((token, wv))
-    if policy.mode == "skip-synset" and dropped:
-        return ResolutionOutcome(synset.id, None, tuple(dropped), STATUS_SKIPPED)
-    if len(kept) < MIN_SYNSET_SIZE:
-        return ResolutionOutcome(synset.id, None, tuple(dropped), STATUS_TOO_SMALL)
-    resolved = ResolvedSynset(synset.id, tuple(kept), source_size=len(synset.words))
-    matched = tuple((token, wv.token) for token, wv in kept)
-    return ResolutionOutcome(
-        synset.id, resolved, tuple(dropped), STATUS_RESOLVED, matched
-    )
+            tokens.append(token)
+            keys.append(key)
+    dropped = tuple(dropped)
+    if policy.mode == "skip-synset" and any(r == DROP_OOV for _, r in dropped):
+        return ResolutionOutcome(synset.id, None, dropped, STATUS_SKIPPED)
+    if len(tokens) < MIN_SYNSET_SIZE:
+        return ResolutionOutcome(synset.id, None, dropped, STATUS_TOO_SMALL)
+    rows = model.vectors[[model.index[k] for k in keys]]
+    resolved = ResolvedSynset(synset.id, tokens, keys, rows, len(synset.words))
+    return ResolutionOutcome(synset.id, resolved, dropped, STATUS_RESOLVED)

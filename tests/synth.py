@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from synsetgeom import EmbeddingModel, ResolvedSynset
+from synsetgeom import EmbeddingModel, ResolvedSynset, partition_outcomes
 
 
 def unit_rows(rng, n, dim):
@@ -31,4 +31,23 @@ def make_model(words, rows):
 
 def synset_rows(synset):
     """The synset's vectors as plain Python lists (for the oracle)."""
-    return [[float(x) for x in row] for row in synset.matrix()]
+    return synset.vectors.tolist()
+
+
+def partition_row(synset, focus, mask):
+    """(sim, sim1, sim2, r_doubled, centrality_delta) of one split of the
+    engine's table for ``focus``."""
+    table = partition_outcomes(synset, focus)
+    (i,) = np.nonzero(table.masks == mask)[0]
+    return tuple(column[i].item() for column in table[1:])
+
+
+def block_sim(block1, block2):
+    """The engine's similarity of two blocks of rows: ``sim`` of the split
+    block1 | block2 around a focus word on an extra axis, orthogonal to
+    every row, so that no block can cancel with it."""
+    rows = np.asarray(list(block1) + list(block2), dtype=np.float64)
+    rows = np.hstack([rows, np.zeros((len(rows), 1))])
+    rows = np.vstack([rows, np.eye(rows.shape[1])[-1]])
+    syn = make_synset([f"w{i}" for i in range(len(rows))], rows)
+    return partition_row(syn, len(rows) - 1, (1 << len(block1)) - 1)[0]

@@ -21,11 +21,9 @@ from synsetgeom import (
     RawSynset,
     analyze_synset,
     enumerate_partitions,
-    interior_membership,
     load_binary_model,
     load_text_model,
     partition_outcomes,
-    rank_and_centrality,
     resolve,
     save_binary_model,
     save_text_model,
@@ -79,10 +77,8 @@ def test_criterion_2_interior_maximal_rank_equivalence():
     violations = 0
     for syn in synsets:
         count = 2 ** (syn.n - 2) - 1
-        for focus in range(syn.n):
-            member = interior_membership(syn, focus)
-            attrs = rank_and_centrality(syn, focus)
-            if member != (attrs.rank_doubled == 2 * count):
+        for attrs in analyze_synset(syn).words:
+            if attrs.in_interior != (attrs.rank_doubled == 2 * count):
                 violations += 1
     elapsed = time.perf_counter() - start
     verdict(
@@ -101,18 +97,19 @@ def test_criterion_3_oracle_equivalence():
     for syn in synsets:
         rows = synset_rows(syn)
         for focus in range(syn.n):
-            for po in partition_outcomes(syn, focus):
+            table = partition_outcomes(syn, focus)
+            for mask, *got in zip(*(column.tolist() for column in table)):
                 sim, sim1, sim2, r_doubled, delta = oracle.partition_outcome(
-                    rows, focus, po.partition.mask
+                    rows, focus, mask
                 )
-                if po.r_doubled != r_doubled:
+                if got[3] != r_doubled:
                     r_mismatches += 1
                 worst = max(
                     worst,
-                    abs(po.sim - sim),
-                    abs(po.sim1 - sim1),
-                    abs(po.sim2 - sim2),
-                    abs(po.centrality_delta - delta),
+                    abs(got[0] - sim),
+                    abs(got[1] - sim1),
+                    abs(got[2] - sim2),
+                    abs(got[4] - delta),
                 )
     elapsed = time.perf_counter() - start
     verdict(
@@ -150,15 +147,14 @@ def test_criterion_5_bounds():
     violations = 0
     for syn in synsets:
         count = 2 ** (syn.n - 2) - 1
-        for focus in range(syn.n):
-            attrs = rank_and_centrality(syn, focus)
+        for attrs in analyze_synset(syn).words:
             if abs(attrs.rank_doubled) > 2 * count:
                 violations += 1
             if abs(attrs.centrality) > 4 * count:
                 violations += 1
-            for po in partition_outcomes(syn, focus):
-                if abs(po.centrality_delta) > 4.0:
-                    violations += 1
+        for focus in range(syn.n):
+            table = partition_outcomes(syn, focus)
+            violations += int(np.sum(np.abs(table.centrality_delta) > 4.0))
     verdict(
         5,
         "rank/centrality bounds",
@@ -239,16 +235,14 @@ def test_criterion_7_golden_cli(capsys):
     full_ok = True
     fixture_model = load_text_model(model)
     for raw_words in (("happy", "glad", "joyful", "cheerful"),):
-        kept = [(t, fixture_model.vector(t)) for t in raw_words]
-        from synsetgeom import ResolvedSynset
-
-        syn = ResolvedSynset("x", tuple(kept), len(kept))
-        for focus in range(syn.n):
-            attrs = rank_and_centrality(syn, focus)
+        syn = resolve(RawSynset("x", None, raw_words), fixture_model).resolved
+        by_token = {w.token: w for w in analyze_synset(syn).words}
+        for focus, token in enumerate(syn.tokens):
+            attrs = by_token[token]
             table = partition_outcomes(syn, focus)
-            if sum(po.r_doubled for po in table) != attrs.rank_doubled:
+            if int(table.r_doubled.sum()) != attrs.rank_doubled:
                 full_ok = False
-            if abs(sum(po.centrality_delta for po in table) - attrs.centrality) > 1e-9:
+            if abs(float(table.centrality_delta.sum()) - attrs.centrality) > 1e-9:
                 full_ok = False
 
     verdict(

@@ -144,6 +144,13 @@ class TestExitCodes:
         assert code == 1
         assert "header" in err
 
+    def test_invalid_utf8_synsets_is_exit_1(self, capsys, tmp_path):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"a\tb\t\xff\xfe|x|y\n")
+        code, _, err = run(capsys, "analyze", "--model", FIXTURE_MODEL, "--synsets", str(bad))
+        assert code == 1
+        assert err.startswith("error: line 1: not valid UTF-8")
+
     def test_usage_error_is_exit_1(self, capsys):
         code, _, err = run(capsys, "analyze", "--synsets", FIXTURE_SYNSETS)
         assert code == 1
@@ -254,9 +261,9 @@ class TestPartitionsCommand:
 
     def test_rows_and_totals_come_from_one_table(self, capsys, monkeypatch):
         built = []
-        exact = geometry._partition_table
+        word_table = geometry._word_table
         monkeypatch.setattr(
-            geometry, "_partition_table", lambda *args: built.append(args) or exact(*args)
+            geometry, "_word_table", lambda *args: built.append(args) or word_table(*args)
         )
         code, _, _ = self.run_partitions(capsys, "battle", "бой")
         assert code == 0

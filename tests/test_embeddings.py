@@ -1,5 +1,7 @@
-"""Model loading, serialization, and the similarity primitives."""
+"""Model loading and serialization, and the block similarity the engine
+computes from the loaded vectors."""
 
+import gzip
 import math
 
 import numpy as np
@@ -10,17 +12,18 @@ from synsetgeom import (
     DegenerateGeometryError,
     EmbeddingModel,
     ModelFormatError,
-    WordVector,
-    cosine,
+    ResolvedSynset,
     load_binary_model,
     load_text_model,
-    normalized_mean,
     save_binary_model,
     save_text_model,
-    set_similarity,
 )
 
-from synth import make_model, unit_rows
+from synth import block_sim, make_model, unit_rows
+
+
+def row(model, token):
+    return model.vectors[model.index[token]]
 
 
 def write_text(tmp_path, content, name="model.txt"):
@@ -34,14 +37,12 @@ class TestLoadText:
         model = load_text_model(write_text(tmp_path, "2 3\na 1 0 0\nb 0 2 0\n"))
         assert model.vocab_size == 2
         assert model.dimension == 3
-        np.testing.assert_array_equal(model.vector("a").components, [1, 0, 0])
-        np.testing.assert_array_equal(model.vector("b").components, [0, 1, 0])
+        np.testing.assert_array_equal(row(model, "a"), [1, 0, 0])
+        np.testing.assert_array_equal(row(model, "b"), [0, 1, 0])
 
     def test_3_4_5_normalization(self, tmp_path):
         model = load_text_model(write_text(tmp_path, "1 2\nx 3 4\n"))
-        np.testing.assert_allclose(
-            model.vector("x").components, [0.6, 0.8], atol=1e-7
-        )
+        np.testing.assert_allclose(row(model, "x"), [0.6, 0.8], atol=1e-7)
 
     def test_duplicate_token_rejected(self, tmp_path):
         path = write_text(tmp_path, "2 2\na 1 0\na 0 1\n")
@@ -74,6 +75,19 @@ class TestLoadText:
         path = write_text(tmp_path, "1 3\na 0 0 0\n")
         with pytest.raises(ModelFormatError, match="zero-norm"):
             load_text_model(path)
+
+    def test_overflowing_norm_vector(self, tmp_path):
+        path = write_text(tmp_path, "1 2\na 1e200 1e200\n")
+        with pytest.raises(ModelFormatError, match="overflowing"):
+            load_text_model(path)
+
+    def test_header_beyond_the_file_size_is_refused(self, tmp_path):
+        # refused from the header alone: the rows would take 2.4 PB
+        path = write_text(tmp_path, "1000000000000 300\na 1 0\n")
+        with pytest.raises(ModelFormatError, match="truncated: header declares"):
+            load_text_model(path)
+        # the smallest file the header allows still loads
+        assert load_text_model(write_text(tmp_path, "2 2\na 1 0\nb 0 1")).words == ("a", "b")
 
     def test_trailing_space_and_crlf(self, tmp_path):
         # the original word2vec tool ends every row with a space
@@ -167,9 +181,13 @@ class TestLoadBinary:
         with pytest.raises(ModelFormatError, match="duplicate"):
             load_binary_model(path)
 
-    def test_gzip_roundtrip(self, tmp_path):
-        import gzip
+    def test_header_beyond_the_file_size_is_refused(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(b"1000000000000 300\na " + b"\x00" * 1200)
+        with pytest.raises(ModelFormatError, match="truncated: header declares"):
+            load_binary_model(path)
 
+    def test_gzip_roundtrip(self, tmp_path):
         model = make_model(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         plain = tmp_path / "m.bin"
         save_binary_model(model, plain)
@@ -179,106 +197,126 @@ class TestLoadBinary:
         np.testing.assert_array_equal(loaded.vectors, model.vectors)
 
 
+class TestGzipDamage:
+    """A damaged gzip stream is a ModelFormatError for both loaders."""
+
+    @pytest.fixture(params=["txt", "bin"])
+    def gz_model(self, request, tmp_path):
+        model = make_model([f"w{i}" for i in range(40)], np.eye(40)[:, :8] + 0.1)
+        plain = tmp_path / f"m.{request.param}"
+        (save_text_model if request.param == "txt" else save_binary_model)(model, plain)
+        loader = load_text_model if request.param == "txt" else load_binary_model
+        return gzip.compress(plain.read_bytes()), loader, tmp_path / f"cut.{request.param}.gz"
+
+    def test_truncated_stream(self, gz_model):
+        blob, loader, path = gz_model
+        path.write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(ModelFormatError, match="gzip"):
+            loader(path)
+
+    def test_corrupt_stream(self, gz_model):
+        blob, loader, path = gz_model
+        damaged = bytearray(blob)
+        damaged[len(blob) // 2 : len(blob) // 2 + 8] = b"\xff" * 8
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(ModelFormatError):
+            loader(path)
+
+    def test_not_a_gzip_file(self, gz_model):
+        _, loader, path = gz_model
+        path.write_bytes(b"2 2\na 1 0\nb 0 1\n")
+        with pytest.raises(ModelFormatError, match="gzip"):
+            loader(path)
+
+
 class TestVocabulary:
     @pytest.fixture
     def model(self, tmp_path):
         return load_text_model(write_text(tmp_path, "2 3\na 1 0 0\nb 0 2 0\n"))
 
     def test_lookup_hit(self, model):
-        wv = model.vector("a")
-        assert wv.token == "a"
-        np.testing.assert_array_equal(wv.components, [1, 0, 0])
+        assert model.words[model.index["a"]] == "a"
+        np.testing.assert_array_equal(row(model, "a"), [1, 0, 0])
 
     def test_lookup_miss_is_none(self, model):
-        assert model.vector("missing") is None
+        assert model.index.get("missing") is None
 
     def test_lookup_is_case_sensitive(self, model):
-        assert model.vector("A") is None
+        assert model.index.get("A") is None
         assert "a" in model and "A" not in model
 
 
 class TestCosine:
+    """Two one-word blocks compare as the cosine of their words."""
+
     def test_identical(self):
-        assert cosine(WordVector("a", [1, 0]), WordVector("b", [1, 0])) == 1.0
+        assert block_sim([[1, 0]], [[1, 0]]) == 1.0
 
     def test_orthogonal(self):
-        assert cosine(WordVector("a", [1, 0]), WordVector("b", [0, 1])) == 0.0
+        assert block_sim([[1, 0]], [[0, 1]]) == 0.0
 
     def test_antipodal(self):
-        assert cosine(WordVector("a", [1, 0]), WordVector("b", [-1, 0])) == -1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            cosine(WordVector("a", [1, 0]), WordVector("b", [1, 0, 0]))
+        assert block_sim([[1, 0]], [[-1, 0]]) == -1.0
 
     @given(st.integers(2, 8), st.integers(0, 2**31 - 1))
     def test_symmetry_and_range(self, dim, seed):
         rng = np.random.default_rng(seed)
         a, b = unit_rows(rng, 2, dim)
-        wa, wb = WordVector("a", a), WordVector("b", b)
-        assert cosine(wa, wb) == cosine(wb, wa)
-        assert -1.0 <= cosine(wa, wb) <= 1.0
+        # the engine sums the pair in synset order, so the swap agrees to rounding
+        assert block_sim([a], [b]) == pytest.approx(block_sim([b], [a]), abs=1e-12)
+        assert -1.0 <= block_sim([a], [b]) <= 1.0
 
     def test_self_similarity_never_exceeds_one(self):
         rng = np.random.default_rng(5)
-        for row in unit_rows(rng, 50, 300):
-            wv = WordVector("w", row)
-            assert cosine(wv, wv) <= 1.0
+        for r in unit_rows(rng, 50, 300):
+            assert block_sim([r], [r]) <= 1.0
 
 
 class TestNormalizedMean:
+    """A block's direction is the normalized sum of its words."""
+
     def test_singleton(self):
-        np.testing.assert_array_equal(
-            normalized_mean([WordVector("a", [1, 0])]), [1, 0]
-        )
+        assert block_sim([[1, 0]], [[0.6, 0.8]]) == pytest.approx(0.6, abs=1e-7)
 
     def test_two_axes(self):
-        np.testing.assert_allclose(
-            normalized_mean([WordVector("a", [1, 0]), WordVector("b", [0, 1])]),
-            [math.sqrt(2) / 2] * 2,
-            atol=1e-12,
-        )
+        diagonal = [math.sqrt(2) / 2] * 2
+        assert block_sim([[1, 0], [0, 1]], [diagonal]) == pytest.approx(1.0, abs=1e-12)
 
     def test_cancellation_is_an_error(self):
-        with pytest.raises(DegenerateGeometryError, match="cancel"):
-            normalized_mean([WordVector("a", [1, 0]), WordVector("b", [-1, 0])])
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_mean([])
+        with pytest.raises(DegenerateGeometryError, match="sums to zero"):
+            block_sim([[1, 0], [-1, 0]], [[0, 1]])
 
 
 class TestSetSimilarity:
     def test_identical_singletons(self):
-        a = [WordVector("a", [1, 0])]
-        assert set_similarity(a, [WordVector("b", [1, 0])]) == 1.0
+        assert block_sim([[0, 1, 0]], [[0, 1, 0]]) == 1.0
 
     def test_orthogonal_singletons(self):
-        assert set_similarity([WordVector("a", [1, 0])], [WordVector("b", [0, 1])]) == 0.0
+        s = math.sqrt(0.5)
+        assert block_sim([[s, s, 0]], [[s, -s, 0]]) == 0.0
 
     def test_pair_vs_singleton(self):
-        a = [WordVector("a", [1, 0]), WordVector("b", [0, 1])]
-        b = [WordVector("c", [1, 0])]
-        assert set_similarity(a, b) == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+        assert block_sim([[1, 0], [0, 1]], [[1, 0]]) == pytest.approx(
+            math.sqrt(2) / 2, abs=1e-12
+        )
 
     def test_singleton_reduction_exact_on_exact_unit_vectors(self):
-        # axis-like vectors have exactly representable unit norm, so the
-        # normalized mean divides by exactly 1.0
-        a, b = WordVector("a", [0, 1, 0]), WordVector("b", [-1, 0, 0])
-        assert set_similarity([a], [b]) == cosine(a, b)
+        # axis-like vectors have exactly representable unit norm
+        a, b = [0, 1, 0], [-1, 0, 0]
+        assert block_sim([a], [b]) == float(np.dot(a, b))
 
     @given(st.integers(2, 8), st.integers(0, 2**31 - 1))
     def test_singleton_reduction_close_in_general(self, dim, seed):
         rng = np.random.default_rng(seed)
-        a, b = (WordVector(t, r) for t, r in zip("ab", unit_rows(rng, 2, dim)))
-        assert set_similarity([a], [b]) == pytest.approx(cosine(a, b), abs=1e-6)
+        a, b = unit_rows(rng, 2, dim)
+        assert block_sim([a], [b]) == pytest.approx(float(np.dot(a, b)), abs=1e-6)
 
     @given(st.integers(2, 6), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**31 - 1))
     def test_symmetry(self, dim, na, nb, seed):
         rng = np.random.default_rng(seed)
-        A = [WordVector(f"a{i}", r) for i, r in enumerate(unit_rows(rng, na, dim))]
-        B = [WordVector(f"b{i}", r) for i, r in enumerate(unit_rows(rng, nb, dim))]
-        assert set_similarity(A, B) == set_similarity(B, A)
+        A = list(unit_rows(rng, na, dim))
+        B = list(unit_rows(rng, nb, dim))
+        assert block_sim(A, B) == pytest.approx(block_sim(B, A), abs=1e-12)
 
 
 class TestModelConstruction:
@@ -291,8 +329,10 @@ class TestModelConstruction:
             EmbeddingModel(["a", "b"], np.array([[1.0, 0.0]], np.float32))
 
     def test_word_vector_rejects_non_unit(self):
-        with pytest.raises(ValueError, match="unit length"):
-            WordVector("a", [1.0, 1.0])
+        # a resolved synset validates its word vectors once, at construction
+        for bad in ([1.0, 1.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="unit length"):
+                ResolvedSynset("s", ("a", "b"), ("a", "b"), [[1.0, 0.0], bad], 2)
 
     def test_vectors_are_read_only(self):
         model = make_model(["a"], [[1.0, 0.0]])

@@ -8,25 +8,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synsetgeom import (
+    DEFAULT_EPS,
     DEFAULT_MAX_SYNSET_SIZE,
     DegenerateGeometryError,
-    Partition,
     ResolvedSynset,
     SynsetSizeError,
-    WordVector,
     analyze_synset,
     enumerate_partitions,
-    interior_membership,
-    partition_outcome,
     partition_outcomes,
-    rank_and_centrality,
-    set_similarity,
-    sgn_eps,
 )
 from synsetgeom import geometry
 
 import oracle
-from synth import make_synset, random_synset, synset_rows, unit_rows
+from synth import make_synset, partition_row, random_synset, synset_rows, unit_rows
+
+
+def word_attributes(syn, focus, eps=DEFAULT_EPS, **kwargs):
+    """One word's attributes, summed from its partition_outcomes table."""
+    table = partition_outcomes(syn, focus, eps, **kwargs)
+    return geometry._attributes(syn.tokens[focus], table, eps)
 
 
 def brute_force_masks(m):
@@ -79,85 +79,73 @@ class TestSgnEps:
         ],
     )
     def test_values(self, x, eps, expected):
-        assert sgn_eps(x, eps) == expected
-
-    def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
-            sgn_eps(0.5, -1e-9)
+        assert geometry._sgn_band(np.array([x]), eps).tolist() == [expected]
 
 
 class TestPartitionOutcome:
     def test_two_clones_pulled_apart(self):
         # focus pulls both blocks away from their perfect alignment
         syn = make_synset(["v", "a", "b"], [[1, 0], [0, 1], [0, 1]])
-        po = partition_outcome(syn, 0, Partition(0, 0b01))
-        assert po.sim == 1.0
-        assert po.sim1 == pytest.approx(math.sqrt(2) / 2, abs=1e-7)
-        assert po.sim2 == pytest.approx(math.sqrt(2) / 2, abs=1e-7)
-        assert po.r_doubled == -2
-        assert po.centrality_delta == pytest.approx(math.sqrt(2) - 2, abs=1e-7)
+        (sim, sim1, sim2, r_doubled, delta) = partition_row(syn, 0, 0b01)
+        assert sim == 1.0
+        assert sim1 == pytest.approx(math.sqrt(2) / 2, abs=1e-7)
+        assert sim2 == pytest.approx(math.sqrt(2) / 2, abs=1e-7)
+        assert r_doubled == -2
+        assert delta == pytest.approx(math.sqrt(2) - 2, abs=1e-7)
 
     def test_identical_vectors_are_neutral(self):
         syn = make_synset(["v", "a", "b"], [[1, 0]] * 3)
-        po = partition_outcome(syn, 0, Partition(0, 0b01))
-        assert po.sim == po.sim1 == po.sim2 == 1.0
-        assert po.r_doubled == 0
-        assert po.centrality_delta == 0.0
+        sim, sim1, sim2, r_doubled, delta = partition_row(syn, 0, 0b01)
+        assert sim == sim1 == sim2 == 1.0
+        assert r_doubled == 0
+        assert delta == 0.0
 
     def test_matches_oracle_on_random_synsets(self):
+        # the vector path, row by row, against the oracle
         rng = np.random.default_rng(42)
         for _ in range(30):
             syn = random_synset(rng)
             rows = synset_rows(syn)
             for focus in range(syn.n):
-                for mask in enumerate_partitions(syn.n - 1):
-                    po = partition_outcome(syn, focus, Partition(focus, mask))
+                table = geometry._partition_table(syn, focus, DEFAULT_EPS)
+                for mask, *got in zip(*(column.tolist() for column in table)):
                     exp = oracle.partition_outcome(rows, focus, mask)
-                    assert po.r_doubled == exp[3]
-                    for got, want in zip((po.sim, po.sim1, po.sim2, po.centrality_delta),
-                                         (exp[0], exp[1], exp[2], exp[4])):
-                        assert got == pytest.approx(want, abs=1e-9)
-
-    def test_non_canonical_mask_rejected(self):
-        syn = make_synset(["v", "a", "b"], [[1, 0], [0, 1], [1, 1]])
-        with pytest.raises(ValueError, match="canonical"):
-            Partition(0, 0b10)
-        with pytest.raises(ValueError):
-            Partition(0, 0)
-        with pytest.raises(ValueError, match="empty"):
-            partition_outcome(syn, 0, Partition(0, 0b11))
+                    assert got[3] == exp[3]
+                    for g, want in zip(got[:3] + got[4:], exp[:3] + exp[4:]):
+                        assert g == pytest.approx(want, abs=1e-9)
 
     def test_focus_mismatch_rejected(self):
+        # a negative focus is refused, not wrapped around to the last word
         syn = make_synset(["v", "a", "b"], [[1, 0], [0, 1], [1, 1]])
-        with pytest.raises(ValueError, match="focus"):
-            partition_outcome(syn, 1, Partition(0, 0b01))
+        with pytest.raises(IndexError, match="focus"):
+            partition_outcomes(syn, -1)
 
     def test_block_symmetry(self):
         # swapping block labels keeps sim, swaps sim1/sim2, and leaves the
-        # contributions unchanged; recomputed through the set primitives
+        # contributions unchanged; the swapped split is recomputed by the oracle
         rng = np.random.default_rng(9)
         syn = random_synset(rng, n=5, dim=4)
-        words = [wv for _, wv in syn.words]
+        rows = synset_rows(syn)
         focus = 2
-        v = words[focus]
-        remaining = [wv for i, wv in enumerate(words) if i != focus]
-        for mask in enumerate_partitions(len(remaining)):
-            po = partition_outcome(syn, focus, Partition(focus, mask))
+        v = rows[focus]
+        remaining = [row for i, row in enumerate(rows) if i != focus]
+        table = geometry._partition_table(syn, focus, DEFAULT_EPS)
+        for mask, sim, sim1, sim2, r_doubled, delta in zip(*(c.tolist() for c in table)):
             s1 = [remaining[j] for j in range(len(remaining)) if mask >> j & 1]
             s2 = [remaining[j] for j in range(len(remaining)) if not mask >> j & 1]
             # swapped labels: block1 <- s2, block2 <- s1
-            swapped_sim = set_similarity(s2, s1)
-            swapped_sim1 = set_similarity(s2 + [v], s1)
-            swapped_sim2 = set_similarity(s2, s1 + [v])
-            assert swapped_sim == pytest.approx(po.sim, abs=1e-12)
-            assert swapped_sim1 == pytest.approx(po.sim2, abs=1e-12)
-            assert swapped_sim2 == pytest.approx(po.sim1, abs=1e-12)
-            r_swapped = sgn_eps(swapped_sim1 - swapped_sim, 1e-9) + sgn_eps(
+            swapped_sim = oracle.sim_sets(s2, s1)
+            swapped_sim1 = oracle.sim_sets(s2 + [v], s1)
+            swapped_sim2 = oracle.sim_sets(s2, s1 + [v])
+            assert swapped_sim == pytest.approx(sim, abs=1e-12)
+            assert swapped_sim1 == pytest.approx(sim2, abs=1e-12)
+            assert swapped_sim2 == pytest.approx(sim1, abs=1e-12)
+            r_swapped = oracle.sgn(swapped_sim1 - swapped_sim, 1e-9) + oracle.sgn(
                 swapped_sim2 - swapped_sim, 1e-9
             )
-            assert r_swapped == po.r_doubled
+            assert r_swapped == r_doubled
             assert (swapped_sim1 - swapped_sim) + (swapped_sim2 - swapped_sim) == (
-                pytest.approx(po.centrality_delta, abs=1e-12)
+                pytest.approx(delta, abs=1e-12)
             )
 
 
@@ -170,7 +158,7 @@ class TestRankAndCentrality:
             ["v", "a", "b", "c"],
             [[1, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0]],
         )
-        attrs = rank_and_centrality(syn, 0)
+        attrs = word_attributes(syn, 0)
         assert attrs.rank_doubled == 3  # rank 1.5: each split has one zero sign
         expected = 2 * (2 / math.sqrt(5) - math.sqrt(2) / 2) + math.sqrt(2) / 2
         assert attrs.centrality == pytest.approx(expected, abs=1e-9)
@@ -188,7 +176,7 @@ class TestRankAndCentrality:
     @pytest.mark.parametrize("n", range(3, DEFAULT_MAX_SYNSET_SIZE + 1))
     def test_identical_vectors_all_zero(self, n):
         syn = make_synset([f"w{i}" for i in range(n)], [[0, 1, 0]] * n)
-        per_focus = [rank_and_centrality(syn, focus) for focus in range(n)]
+        per_focus = [word_attributes(syn, focus) for focus in range(n)]
         for attrs in per_focus + list(analyze_synset(syn).words):
             assert attrs.rank_doubled == 0
             assert attrs.centrality == 0.0
@@ -201,7 +189,7 @@ class TestRankAndCentrality:
             syn = random_synset(rng)
             rows = synset_rows(syn)
             for focus in range(syn.n):
-                attrs = rank_and_centrality(syn, focus)
+                attrs = word_attributes(syn, focus)
                 rank_d, cent, member, count = oracle.word_attributes(rows, focus)
                 assert attrs.rank_doubled == rank_d
                 assert attrs.centrality == pytest.approx(cent, abs=1e-9)
@@ -214,31 +202,31 @@ class TestRankAndCentrality:
             syn = random_synset(rng)
             count = 2 ** (syn.n - 2) - 1
             for focus in range(syn.n):
-                attrs = rank_and_centrality(syn, focus)
+                attrs = word_attributes(syn, focus)
                 assert abs(attrs.rank_doubled) <= 2 * count
                 assert abs(attrs.centrality) <= 4 * count
-                for po in partition_outcomes(syn, focus):
-                    assert abs(po.centrality_delta) <= 4.0
-                    assert po.r_doubled in (-2, -1, 0, 1, 2)
+                table = partition_outcomes(syn, focus)
+                assert np.all(np.abs(table.centrality_delta) <= 4.0)
+                assert set(table.r_doubled.tolist()) <= {-2, -1, 0, 1, 2}
 
     def test_too_small_synset(self):
         syn = make_synset(["a", "b"], [[1, 0], [0, 1]])
         with pytest.raises(SynsetSizeError, match="at least 3"):
-            rank_and_centrality(syn, 0)
+            partition_outcomes(syn, 0)
 
     def test_size_cap(self):
         n = 9
         rng = np.random.default_rng(0)
         syn = random_synset(rng, n=n, dim=3)
         with pytest.raises(SynsetSizeError, match="size cap"):
-            rank_and_centrality(syn, 0, max_size=8)
-        attrs = rank_and_centrality(syn, 0, max_size=n)  # raising the cap works
+            partition_outcomes(syn, 0, max_size=8)
+        attrs = word_attributes(syn, 0, max_size=n)  # raising the cap works
         assert attrs.partition_count == 2 ** (n - 2) - 1
 
     def test_focus_out_of_range(self):
         syn = make_synset(["a", "b", "c"], np.eye(3))
         with pytest.raises(IndexError):
-            rank_and_centrality(syn, 3)
+            partition_outcomes(syn, 3)
 
     def test_degenerate_block_is_annotated(self):
         syn = make_synset(
@@ -246,7 +234,7 @@ class TestRankAndCentrality:
             [[1, 0], [0, 1], [0, -1], [1, 0]],
         )
         with pytest.raises(DegenerateGeometryError) as exc:
-            rank_and_centrality(syn, 0)
+            partition_outcomes(syn, 0)
         msg = str(exc.value)
         assert "'syn'" in msg and "'v'" in msg and "mask" in msg
 
@@ -257,13 +245,13 @@ class TestRankAndCentrality:
             [[1, 0], [-1, 0], [0, 1], [0.6, 0.8]],
         )
         with pytest.raises(DegenerateGeometryError):
-            rank_and_centrality(syn, 0)
+            partition_outcomes(syn, 0)
 
 
 class TestInteriorMembership:
     def test_identical_vectors_never_interior(self):
         syn = make_synset(["a", "b", "c"], [[1, 0]] * 3)
-        assert not any(interior_membership(syn, f) for f in range(3))
+        assert not any(word_attributes(syn, f).in_interior for f in range(3))
 
     def test_central_word_is_interior(self):
         # w is exactly the normalized mean of the rest; adding it to any
@@ -272,8 +260,7 @@ class TestInteriorMembership:
         rest /= np.linalg.norm(rest, axis=1, keepdims=True)
         w = rest.sum(axis=0)
         syn = make_synset(["w", "a", "b", "c"], np.vstack([w, rest]))
-        assert interior_membership(syn, 0)
-        attrs = rank_and_centrality(syn, 0)
+        attrs = word_attributes(syn, 0)
         assert attrs.in_interior
         assert attrs.rank_doubled == 2 * attrs.partition_count
 
@@ -282,8 +269,8 @@ class TestInteriorMembership:
         for _ in range(60):
             syn = random_synset(rng)
             for focus in range(syn.n):
-                member = interior_membership(syn, focus)
-                attrs = rank_and_centrality(syn, focus)
+                attrs = word_attributes(syn, focus)
+                member = attrs.in_interior
                 assert member == (attrs.rank_doubled == 2 * attrs.partition_count)
                 # and the independent oracle agrees on membership
                 assert member == oracle.word_attributes(synset_rows(syn), focus)[2]
@@ -291,31 +278,30 @@ class TestInteriorMembership:
 
 class TestPartitionOutcomes:
     def test_matches_single_partition_path(self):
+        # the subset-norm rows against the vector path's, row by row
         rng = np.random.default_rng(31)
         syn = random_synset(rng, n=6, dim=5)
         for focus in range(syn.n):
             table = partition_outcomes(syn, focus)
-            assert len(table) == 2 ** (syn.n - 2) - 1
-            for po in table:
-                single = partition_outcome(syn, focus, po.partition)
-                assert single.r_doubled == po.r_doubled
-                assert single.sim == pytest.approx(po.sim, abs=1e-12)
-                assert single.sim1 == pytest.approx(po.sim1, abs=1e-12)
-                assert single.sim2 == pytest.approx(po.sim2, abs=1e-12)
-                assert single.centrality_delta == pytest.approx(
-                    po.centrality_delta, abs=1e-12
+            exact = geometry._partition_table(syn, focus, DEFAULT_EPS)
+            assert len(table.masks) == 2 ** (syn.n - 2) - 1
+            assert table.masks.tolist() == exact.masks.tolist()
+            assert table.r_doubled.tolist() == exact.r_doubled.tolist()
+            for name in ("sim", "sim1", "sim2", "centrality_delta"):
+                np.testing.assert_allclose(
+                    getattr(table, name), getattr(exact, name), rtol=0, atol=1e-12
                 )
 
     def test_totals_match_aggregation(self):
+        # the rows sum to exactly what analyze_synset reports for the word
         rng = np.random.default_rng(32)
         syn = random_synset(rng, n=5, dim=4)
-        for focus in range(syn.n):
+        by_token = {w.token: w for w in analyze_synset(syn).words}
+        for focus, token in enumerate(syn.tokens):
             table = partition_outcomes(syn, focus)
-            attrs = rank_and_centrality(syn, focus)
-            assert sum(po.r_doubled for po in table) == attrs.rank_doubled
-            assert sum(po.centrality_delta for po in table) == pytest.approx(
-                attrs.centrality, abs=1e-12
-            )
+            attrs = by_token[token]
+            assert int(table.r_doubled.sum()) == attrs.rank_doubled
+            assert float(table.centrality_delta.sum()) == attrs.centrality
 
 
 class TestAnalyzeSynset:
@@ -453,7 +439,8 @@ class TestSubsetNormEngine:
             syn = random_synset(rng, n_range=(3, 10), dim_range=(2, 40))
             by_token = {w.token: w for w in analyze_synset(syn).words}
             for focus, token in enumerate(syn.tokens):
-                want = rank_and_centrality(syn, focus)
+                exact = geometry._partition_table(syn, focus, DEFAULT_EPS)
+                want = geometry._attributes(token, exact, DEFAULT_EPS)
                 got = by_token[token]
                 assert got.rank_doubled == want.rank_doubled
                 assert got.in_interior == want.in_interior
@@ -468,7 +455,7 @@ class TestSubsetNormEngine:
             for call in (
                 lambda: analyze_synset(syn, max_size=64),
                 lambda: partition_outcomes(syn, 0, max_size=64),
-                lambda: rank_and_centrality(syn, 0, max_size=64),
+                lambda: geometry._partition_table(syn, 0, DEFAULT_EPS),
             ):
                 with pytest.raises(SynsetSizeError, match="budget"):
                     call()
@@ -480,26 +467,35 @@ class TestSubsetNormEngine:
 
 class TestResolvedSynset:
     def test_duplicate_tokens_rejected(self):
-        wv = WordVector("x", [1, 0])
         with pytest.raises(ValueError, match="duplicate"):
-            ResolvedSynset("s", (("a", wv), ("a", wv)), 2)
+            ResolvedSynset("s", ("a", "a"), ("x", "x"), [[1, 0], [1, 0]], 2)
 
     def test_mixed_dimensions_rejected(self):
+        # the vectors must be one (n, dim) matrix, one row per token
+        for vectors in (np.eye(3), np.eye(2)[0], np.ones((2, 1, 1))):
+            with pytest.raises(ValueError, match="dimension"):
+                ResolvedSynset("s", ("a", "b"), ("a", "b"), vectors, 2)
         with pytest.raises(ValueError, match="dimension"):
-            ResolvedSynset(
-                "s",
-                (("a", WordVector("a", [1, 0])), ("b", WordVector("b", [1, 0, 0]))),
-                2,
-            )
+            ResolvedSynset("s", ("a", "b"), ("a",), np.eye(2), 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ResolvedSynset("s", (), 0)
+            ResolvedSynset("s", (), (), np.zeros((0, 2)), 0)
 
     def test_from_arrays_normalizes(self):
         syn = make_synset(["a", "b", "c"], [[2, 0], [0, 3], [4, 4]])
-        norms = np.linalg.norm(syn.matrix(), axis=1)
+        norms = np.linalg.norm(syn.vectors, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-7)
+        assert syn.vectors.dtype == np.float64
+        assert syn.model_keys == syn.tokens
+
+    def test_vectors_are_read_only_copies(self):
+        rows = np.eye(3)
+        syn = ResolvedSynset("s", ("a", "b", "c"), ("a", "b", "c"), rows, 3)
+        with pytest.raises(ValueError):
+            syn.vectors[0, 0] = 5.0
+        rows[0, 0] = 5.0
+        assert syn.vectors[0, 0] == 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -514,9 +510,7 @@ def test_property_membership_maximal_rank_and_bounds(n, dim, seed):
     syn = random_synset(rng, n=n, dim=dim)
     count = 2 ** (n - 2) - 1
     for focus in range(n):
-        attrs = rank_and_centrality(syn, focus)
-        assert interior_membership(syn, focus) == (
-            attrs.rank_doubled == 2 * count
-        )
+        attrs = word_attributes(syn, focus)
+        assert attrs.in_interior == (attrs.rank_doubled == 2 * count)
         assert abs(attrs.rank_doubled) <= 2 * count
         assert abs(attrs.centrality) <= 4 * count

@@ -1,7 +1,9 @@
 """Synset file parsing and OOV resolution policies."""
 
+import codecs
 import json
 
+import numpy as np
 import pytest
 
 from synsetgeom import (
@@ -12,7 +14,12 @@ from synsetgeom import (
     parse_synsets,
     resolve,
 )
-from synsetgeom.ingestion import STATUS_RESOLVED, STATUS_SKIPPED, STATUS_TOO_SMALL
+from synsetgeom.ingestion import (
+    STATUS_RESOLVED,
+    STATUS_SKIPPED,
+    STATUS_TOO_SMALL,
+    SYNSET_FORMATS,
+)
 
 from synth import make_model
 
@@ -130,6 +137,33 @@ class TestParseJsonl:
             parse_synsets(path, "xml")
 
 
+class TestEncoding:
+    LINES = {
+        "tsv": "battle\t\tбой|битва|сражение\n",
+        "jsonl": json.dumps({"id": "battle", "words": ["бой", "битва", "сражение"]},
+                            ensure_ascii=False) + "\n",
+    }
+
+    @pytest.mark.parametrize("fmt", SYNSET_FORMATS)
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path, fmt):
+        path = tmp_path / f"s.{fmt}"
+        path.write_bytes(codecs.BOM_UTF8 + self.LINES[fmt].encode("utf-8"))
+        assert parse_synsets(path, fmt)[0].id == "battle"
+
+    @pytest.mark.parametrize("fmt", SYNSET_FORMATS)
+    def test_invalid_utf8_is_a_parse_error_with_its_line(self, tmp_path, fmt):
+        path = tmp_path / f"s.{fmt}"
+        line = self.LINES[fmt].encode("utf-8")
+        path.write_bytes(line + line.replace(b"battle", b"\xff\xfe"))
+        with pytest.raises(SynsetParseError, match="line 2: not valid UTF-8"):
+            parse_synsets(path, fmt)
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_bytes(b"s1\t\ta|b|c\r\ns2\t\td|e\r\n")
+        assert [s.words for s in parse_synsets(path, "tsv")] == [("a", "b", "c"), ("d", "e")]
+
+
 class TestResolve:
     def test_all_words_in_vocabulary(self, model):
         raw = RawSynset("s1", None, ("замечательно", "отлично", "прекрасно"))
@@ -151,23 +185,21 @@ class TestResolve:
         )
         # surface tokens kept, model keys travel on the vectors
         assert outcome.resolved.tokens == ("бой", "битва", "сражение")
-        assert [wv.token for _, wv in outcome.resolved.words] == [
-            "бой_NOUN",
-            "битва_NOUN",
-            "сражение_NOUN",
-        ]
+        assert outcome.resolved.model_keys == ("бой_NOUN", "битва_NOUN", "сражение_NOUN")
+        rows = [model.index[k] for k in outcome.resolved.model_keys]
+        np.testing.assert_array_equal(outcome.resolved.vectors, model.vectors[rows])
 
     def test_exact_match_beats_suffix(self):
         model = make_model(["w", "w_NOUN", "x", "y"], [[1, 0], [0, 1], [0.6, 0.8], [0.8, 0.6]])
         raw = RawSynset("s", None, ("w", "x", "y"))
         outcome = resolve(raw, model, OovPolicy(tag_suffixes=("_NOUN",)))
-        assert outcome.matched_keys[0] == ("w", "w")
+        assert outcome.resolved.model_keys[0] == "w"
 
     def test_suffix_order_is_respected(self):
         model = make_model(["w_B", "w_A", "x", "y"], [[1, 0], [0, 1], [0.6, 0.8], [0.8, 0.6]])
         raw = RawSynset("s", None, ("w", "x", "y"))
         outcome = resolve(raw, model, OovPolicy(tag_suffixes=("_A", "_B")))
-        assert outcome.matched_keys[0] == ("w", "w_A")
+        assert outcome.resolved.model_keys[0] == "w_A"
 
     def test_lowercase_fallback(self, model):
         raw = RawSynset("s", None, ("MIXED", "upper", "замечательно"))
@@ -175,7 +207,7 @@ class TestResolve:
         assert off.status == STATUS_TOO_SMALL
         on = resolve(raw, model, OovPolicy(lowercase_fallback=True))
         assert on.status == STATUS_RESOLVED
-        assert on.matched_keys[0] == ("MIXED", "mixed")
+        assert on.resolved.model_keys[0] == "mixed"
 
     def test_drop_word_records_reasons(self, model):
         raw = RawSynset(
@@ -211,6 +243,17 @@ class TestResolve:
         assert outcome.status == STATUS_SKIPPED
         assert outcome.resolved is None
         assert outcome.dropped_words == (("nope", "out-of-vocabulary"),)
+
+    def test_duplicate_model_key_drops_the_later_word(self, model):
+        # "бой" resolves to "бой_NOUN" through the suffix; the literal key
+        # is the same vector and would count it twice
+        raw = RawSynset("s", None, ("бой", "битва", "бой_NOUN", "сражение"))
+        outcome = resolve(raw, model, OovPolicy(mode="skip-synset"))
+        assert outcome.status == STATUS_RESOLVED
+        assert outcome.resolved.tokens == ("бой", "битва", "сражение")
+        assert outcome.resolved.model_keys == ("бой_NOUN", "битва_NOUN", "сражение_NOUN")
+        assert outcome.resolved.source_size == 4
+        assert outcome.dropped_words == (("бой_NOUN", "duplicate-model-key"),)
 
     def test_fail_mode(self, model):
         raw = RawSynset("s", None, ("замечательно", "nope", "отлично"))
