@@ -9,13 +9,7 @@ with an empty interior are candidates for dictionary cleanup; two models
 can be compared side by side.
 """
 
-from .embeddings import (
-    EmbeddingModel,
-    load_binary_model,
-    load_text_model,
-    save_binary_model,
-    save_text_model,
-)
+from .embeddings import EmbeddingModel, load_binary_model, load_text_model
 from .errors import (
     DegenerateGeometryError,
     ModelFormatError,
@@ -69,6 +63,4 @@ __all__ = [
     "parse_synsets",
     "partition_outcomes",
     "resolve",
-    "save_binary_model",
-    "save_text_model",
 ]

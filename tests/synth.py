@@ -51,3 +51,22 @@ def block_sim(block1, block2):
     rows = np.vstack([rows, np.eye(rows.shape[1])[-1]])
     syn = make_synset([f"w{i}" for i in range(len(rows))], rows)
     return partition_row(syn, len(rows) - 1, (1 << len(block1)) - 1)[0]
+
+
+def save_text_model(model, path):
+    """Write a model in word2vec text format (components round-trip exactly)."""
+    with open(str(path), "w", encoding="utf-8", newline="\n") as fout:
+        fout.write(f"{model.vocab_size} {model.dimension}\n")
+        for word, row in zip(model.words, model.vectors):
+            cols = " ".join(repr(float(x)) for x in row)
+            fout.write(f"{word} {cols}\n")
+
+
+def save_binary_model(model, path):
+    """Write a model in word2vec binary format, one newline after each entry."""
+    with open(str(path), "wb") as fout:
+        fout.write(f"{model.vocab_size} {model.dimension}\n".encode("ascii"))
+        for word, row in zip(model.words, model.vectors):
+            fout.write(word.encode("utf-8") + b" ")
+            fout.write(row.astype("<f4").tobytes())
+            fout.write(b"\n")

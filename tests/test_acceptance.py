@@ -25,13 +25,19 @@ from synsetgeom import (
     load_text_model,
     partition_outcomes,
     resolve,
-    save_binary_model,
-    save_text_model,
 )
 from synsetgeom.cli import main
 
 import oracle
-from synth import make_model, make_synset, random_synset, synset_rows, unit_rows
+from synth import (
+    make_model,
+    make_synset,
+    random_synset,
+    save_binary_model,
+    save_text_model,
+    synset_rows,
+    unit_rows,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 

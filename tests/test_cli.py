@@ -8,8 +8,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from synsetgeom import cli, geometry, save_binary_model, load_text_model
+from synsetgeom import cli, geometry, load_text_model
 from synsetgeom.cli import main
+
+from synth import save_binary_model
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURE_MODEL = str(DATA / "fixture_model.txt")

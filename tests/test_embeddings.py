@@ -3,6 +3,7 @@ computes from the loaded vectors."""
 
 import gzip
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from synsetgeom import (
     ResolvedSynset,
     load_binary_model,
     load_text_model,
-    save_binary_model,
-    save_text_model,
 )
+from synsetgeom.cli import main
+from synsetgeom.embeddings import _BLOCK_ROWS
 
-from synth import block_sim, make_model, unit_rows
+from synth import block_sim, make_model, save_binary_model, save_text_model, unit_rows
 
 
 def row(model, token):
@@ -50,7 +51,7 @@ class TestLoadText:
             load_text_model(path)
 
     def test_malformed_header(self, tmp_path):
-        for header in ("", "2", "two 3", "2 3 4", "-1 3", "0 3", "2 0"):
+        for header in ("", "2", "two 3", "2 3 4", "-1 3", "0 3", "2 0", "1 3" + " " * 200):
             path = write_text(tmp_path, header + "\na 1 0 0\n")
             with pytest.raises(ModelFormatError):
                 load_text_model(path)
@@ -88,6 +89,31 @@ class TestLoadText:
             load_text_model(path)
         # the smallest file the header allows still loads
         assert load_text_model(write_text(tmp_path, "2 2\na 1 0\nb 0 1")).words == ("a", "b")
+
+    @pytest.mark.parametrize("kind", ["txt", "bin"])
+    @pytest.mark.parametrize(
+        "header",
+        ["1000000000000000000 300", "1000000000000000000 2", "2 1000000000000000000", "1000 2"],
+    )
+    def test_gzip_header_beyond_the_stream_is_refused(self, tmp_path, kind, header):
+        # a .gz file's size bounds its content only by deflate's 1032:1 ratio;
+        # a header past that is refused, one within it runs out of entries,
+        # and neither declared size is ever allocated
+        path = tmp_path / f"huge.{kind}.gz"
+        path.write_bytes(gzip.compress(f"{header}\na 1 0\n".encode()))
+        loader = load_text_model if kind == "txt" else load_binary_model
+        with pytest.raises(ModelFormatError, match="truncated"):
+            loader(path)
+
+    def test_gzip_header_beyond_the_stream_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt.gz"
+        path.write_bytes(gzip.compress(b"1000000000000000000 300\na 1 0\n"))
+        synsets = tmp_path / "s.tsv"
+        synsets.write_text("s\t\ta|b|c\n", encoding="utf-8")
+        assert main(["analyze", "--model", str(path), "--synsets", str(synsets)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "truncated" in err
+        assert "Traceback" not in err
 
     def test_trailing_space_and_crlf(self, tmp_path):
         # the original word2vec tool ends every row with a space
@@ -195,6 +221,70 @@ class TestLoadBinary:
         zipped.write_bytes(gzip.compress(plain.read_bytes()))
         loaded = load_binary_model(zipped)
         np.testing.assert_array_equal(loaded.vectors, model.vectors)
+
+
+def write_raw_model(path, raw, binary):
+    """``raw`` as a word2vec model: repr-exact text, or float32 binary."""
+    words = [f"w{i}" for i in range(len(raw))]
+    header = f"{raw.shape[0]} {raw.shape[1]}\n"
+    if binary:
+        path.write_bytes(header.encode() + b"".join(
+            w.encode() + b" " + r.astype("<f4").tobytes() + b"\n" for w, r in zip(words, raw)
+        ))
+    else:
+        path.write_text(header + "".join(
+            w + " " + " ".join(repr(float(x)) for x in r) + "\n" for w, r in zip(words, raw)
+        ), encoding="utf-8")
+    return words
+
+
+class TestBlocks:
+    """The loader normalizes its rows block by block; a model larger than
+    one block loads as if normalized in one piece."""
+
+    ROWS = _BLOCK_ROWS + 100
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_rows_past_one_block_match_a_whole_array_normalization(self, tmp_path, binary):
+        rng = np.random.default_rng(90)
+        raw = rng.standard_normal((self.ROWS, 6)) * rng.uniform(0.01, 100, (self.ROWS, 1))
+        path = tmp_path / ("m.bin" if binary else "m.txt")
+        words = write_raw_model(path, raw, binary)
+        raw64 = raw.astype(np.float32).astype(np.float64) if binary else raw
+        expected = (raw64 / np.linalg.norm(raw64, axis=1, keepdims=True)).astype(np.float32)
+        model = (load_binary_model if binary else load_text_model)(path)
+        assert model.words == tuple(words)
+        assert np.array_equal(model.vectors, expected)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize(
+        "value, message", [(np.nan, "non-finite component"), (0.0, "zero-norm")]
+    )
+    def test_bad_rows_in_the_second_block_report_their_global_row(
+        self, tmp_path, binary, value, message
+    ):
+        raw = np.ones((self.ROWS, 3))
+        bad_row = _BLOCK_ROWS + 37
+        raw[bad_row] = value
+        path = tmp_path / ("m.bin" if binary else "m.txt")
+        write_raw_model(path, raw, binary)
+        with pytest.raises(ModelFormatError, match=f"{message}.* in row {bad_row}\\b"):
+            (load_binary_model if binary else load_text_model)(path)
+
+    def test_load_peak_memory_stays_near_the_loaded_model(self, tmp_path):
+        # a float64 matrix of the whole vocabulary, normalized in one piece,
+        # peaks at almost 4x what this model keeps
+        rng = np.random.default_rng(91)
+        path = tmp_path / "m.txt"
+        write_raw_model(path, rng.standard_normal((2 * _BLOCK_ROWS + 1, 24)), binary=False)
+        tracemalloc.start()
+        try:
+            model = load_text_model(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.vectors.nbytes <= kept
+        assert peak <= 3 * kept
 
 
 class TestGzipDamage:

@@ -514,3 +514,29 @@ def test_property_membership_maximal_rank_and_bounds(n, dim, seed):
         assert attrs.in_interior == (attrs.rank_doubled == 2 * count)
         assert abs(attrs.rank_doubled) <= 2 * count
         assert abs(attrs.centrality) <= 4 * count
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    dim=st.integers(2, 60),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_property_word_order_invariance(n, dim, seed):
+    """Permuting a synset's words moves no rank or interior flag, and moves
+    centrality only by summation-order rounding.  The rows are float64 unit
+    vectors built directly, not through from_arrays' float32 rounding."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    tokens = tuple(f"w{i}" for i in range(n))
+    perm = rng.permutation(n)
+    shuffled = tuple(tokens[i] for i in perm)
+    base = analyze_synset(ResolvedSynset("s", tokens, tokens, rows, n))
+    moved = analyze_synset(ResolvedSynset("s", shuffled, shuffled, rows[perm], n))
+    before = {w.token: w for w in base.words}
+    for after in moved.words:
+        word = before[after.token]
+        assert after.rank_doubled == word.rank_doubled
+        assert after.in_interior == word.in_interior
+        assert after.centrality == pytest.approx(word.centrality, rel=0, abs=1e-11)
