@@ -350,13 +350,17 @@ def _skipped_lines(doc) -> list[str]:
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``--out`` or stdout, whatever the locale."""
     if not text.endswith("\n"):
         text += "\n"
+    data = text.encode("utf-8")
     if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fout:
-            fout.write(text)
+        with open(cfg.out_path, "wb") as fout:
+            fout.write(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
 
 
 def _execute(args) -> int:

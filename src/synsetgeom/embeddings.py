@@ -8,12 +8,17 @@ Both formats share one reader.  It normalizes rows in fixed blocks as they
 fill and joins the float32 blocks once at the end, so a load peaks at about
 twice the float32 matrix it returns.  No array is sized from the header's
 entry count: an overstated count is a truncated file, not an allocation.
+A text block's components are parsed at once by numpy's C reader
+(``np.loadtxt``); any block it refuses is re-read line by line with
+``float()``, so the values, the inputs accepted and the errors are those of
+a line-by-line parse.  Binary entries are read one at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gzip
+import itertools
 import os
 import zlib
 
@@ -28,6 +33,9 @@ _MAX_HEADER_BYTES = 128
 _MAX_TOKEN_BYTES = 10_000
 _MAX_DEFLATE_RATIO = 1032
 _BLOCK_ROWS = 4096
+# whitespace to str.isspace() and so to loadtxt, which strips it from a
+# field's ends, but not to float(), which refuses it there
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 class EmbeddingModel:
@@ -155,30 +163,75 @@ def _open_model(path: str, binary: bool):
 
 def _load(path, binary: bool) -> EmbeddingModel:
     path = str(path)
-    read_entry = _binary_entry if binary else _text_entry
     with _open_model(path, binary) as fin:
         vocab_size, dimension = _read_header(fin, path, binary)
         words, blocks = [], []
-        block = np.empty((min(vocab_size, _BLOCK_ROWS), dimension))
-        for i in range(vocab_size):
-            entry = read_entry(fin, path, i, dimension)
-            if entry is None:
+        for start in range(0, vocab_size, _BLOCK_ROWS):
+            count = min(_BLOCK_ROWS, vocab_size - start)
+            if binary:
+                tokens, raw = _entry_block(_binary_entry, fin, path, start, count, dimension)
+            else:
+                tokens, raw = _text_block(fin, path, start, count, dimension)
+            words += tokens
+            if len(tokens) < count:
                 raise ModelFormatError(
-                    f"{path}: truncated: expected {vocab_size} entries, found {i}"
+                    f"{path}: truncated: expected {vocab_size} entries, found {len(words)}"
                 )
-            j = i % _BLOCK_ROWS
-            words.append(entry[0])
-            block[j] = entry[1]
-            if j == _BLOCK_ROWS - 1 or i == vocab_size - 1:
-                blocks.append(_normalize_rows(block[: j + 1], path, i - j))
+            blocks.append(_normalize_rows(raw, path, start))
+            del raw  # before the next block is read
     return EmbeddingModel(words, np.concatenate(blocks))
 
 
-def _text_entry(fin, path: str, i: int, dimension: int):
-    """Entry ``i``'s (token, components) from one text line; None at the end
-    of the file."""
-    line = fin.readline()
-    if not line:
+def _entry_block(read_entry, source, path: str, start: int, count: int, dimension: int):
+    """The tokens and a float64 ``(count, dimension)`` block of entries
+    ``start`` onwards, read one entry at a time; fewer tokens if ``source``
+    ends first."""
+    tokens, raw = [], np.empty((count, dimension))
+    for j in range(count):
+        entry = read_entry(source, path, start + j, dimension)
+        if entry is None:
+            break
+        tokens.append(entry[0])
+        raw[j] = entry[1]
+    return tokens, raw
+
+
+def _text_block(fin, path: str, start: int, count: int, dimension: int):
+    """``_entry_block`` for text lines, parsed in one ``np.loadtxt`` call.
+
+    ``loadtxt`` converts each field with ``PyOS_string_to_double``, as
+    ``float()`` does for ASCII input, so on a block without
+    ``_NOT_FLOAT_SPACE`` every field it accepts ``float()`` accepts with the
+    same value.  It skips blank lines and takes any width that is the same
+    on every line, hence the shape check.  A block it refuses is re-read
+    line by line, which gives the per-line errors and accepts the spellings
+    only ``float()`` takes (``1_0``, non-ASCII digits).
+    """
+    lines = list(itertools.islice(fin, count))
+    # a block whose first line has no components fails the shape check
+    # anyway, and loadtxt warns when every line is blank
+    if (
+        len(lines) == count
+        and " " in lines[0].rstrip()
+        and not any(c in line for line in lines for c in _NOT_FLOAT_SPACE)
+    ):
+        tails = (line.rstrip().partition(" ")[2] for line in lines)
+        try:
+            raw = np.loadtxt(tails, delimiter=" ", comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if raw.shape == (count, dimension):
+                # every stripped line has a space, so its first one ends the token
+                return [line.partition(" ")[0] for line in lines], raw
+    return _entry_block(_text_entry, iter(lines), path, start, count, dimension)
+
+
+def _text_entry(lines, path: str, i: int, dimension: int):
+    """Entry ``i``'s (token, components) from the next of ``lines``; None
+    when they have run out."""
+    line = next(lines, None)
+    if line is None:
         return None
     parts = line.rstrip().split(" ")
     if len(parts) != dimension + 1:

@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +66,20 @@ class TestGolden:
         assert code == 0
         assert out == ""
         assert target.read_text(encoding="utf-8") == GOLDEN.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    def test_stdout_gets_the_out_bytes_whatever_the_locale(self, capsys, tmp_path, output):
+        args = ["analyze", "--model", FIXTURE_MODEL, "--synsets", FIXTURE_SYNSETS,
+                "--output", output]
+        target = tmp_path / "report"
+        assert run(capsys, *args, "--out", str(target))[0] == 0
+        env = dict(os.environ, PYTHONIOENCODING="ascii", LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-m", "synsetgeom.cli", *args],
+                               capture_output=True, env=env, timeout=60)
+        assert child.returncode == 0, child.stderr.decode("utf-8", "replace")
+        assert child.stderr == b""
+        assert child.stdout == target.read_bytes()
 
     def test_csv_values_match_json(self, capsys):
         _, json_out = analyze_json(capsys)

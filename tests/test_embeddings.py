@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from synsetgeom import (
     DegenerateGeometryError,
@@ -18,7 +18,7 @@ from synsetgeom import (
     load_text_model,
 )
 from synsetgeom.cli import main
-from synsetgeom.embeddings import _BLOCK_ROWS
+from synsetgeom.embeddings import _BLOCK_ROWS, _read_header
 
 from synth import block_sim, make_model, save_binary_model, save_text_model, unit_rows
 
@@ -56,10 +56,12 @@ class TestLoadText:
             with pytest.raises(ModelFormatError):
                 load_text_model(path)
 
+    @pytest.mark.filterwarnings("error")
     def test_wrong_component_count(self, tmp_path):
-        path = write_text(tmp_path, "1 3\na 1 0\n")
-        with pytest.raises(ModelFormatError, match="components"):
-            load_text_model(path)
+        for content in ("1 3\na 1 0\n", "2 3\nalpha\nbravo\n"):
+            path = write_text(tmp_path, content)
+            with pytest.raises(ModelFormatError, match="components"):
+                load_text_model(path)
 
     def test_non_finite_component(self, tmp_path):
         for bad in ("nan", "inf", "-inf"):
@@ -271,6 +273,44 @@ class TestBlocks:
         with pytest.raises(ModelFormatError, match=f"{message}.* in row {bad_row}\\b"):
             (load_binary_model if binary else load_text_model)(path)
 
+    @pytest.mark.parametrize(
+        "components, message",
+        [
+            ("1 1", "expected token plus 3 components, found 2"),
+            ("1 one 1", "unparseable component"),
+            ("1 1\x1c 1", "unparseable component"),  # whitespace to loadtxt, not float()
+            (None, "expected token plus 3 components, found 0"),  # a blank line
+        ],
+    )
+    def test_bad_lines_in_the_second_block_report_their_global_line(
+        self, tmp_path, components, message
+    ):
+        path = tmp_path / "m.txt"
+        write_raw_model(path, np.ones((self.ROWS, 3)), binary=False)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        entry = _BLOCK_ROWS + 37
+        lines[entry + 1] = "\n" if components is None else f"w{entry} {components}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=f": line {entry + 2}: {message}$"):
+            load_text_model(path)
+
+    @pytest.mark.parametrize("spelling, value", [("1_0", 10.0), ("\u0661", 1.0)])
+    def test_a_spelling_only_float_accepts_loads_in_the_second_block(
+        self, tmp_path, spelling, value
+    ):
+        raw = np.random.default_rng(92).standard_normal((self.ROWS, 3))
+        path = tmp_path / "m.txt"
+        words = write_raw_model(path, raw, binary=False)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        entry = _BLOCK_ROWS + 37
+        lines[entry + 1] = f"w{entry} {spelling} {float(raw[entry, 1])!r} {float(raw[entry, 2])!r}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        raw[entry, 0] = value
+        expected = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(np.float32)
+        model = load_text_model(path)
+        assert model.words == tuple(words)
+        assert np.array_equal(model.vectors, expected)
+
     def test_load_peak_memory_stays_near_the_loaded_model(self, tmp_path):
         # a float64 matrix of the whole vocabulary, normalized in one piece,
         # peaks at almost 4x what this model keeps
@@ -285,6 +325,94 @@ class TestBlocks:
             tracemalloc.stop()
         assert model.vectors.nbytes <= kept
         assert peak <= 3 * kept
+
+
+def reference_text_load(path):
+    """The text loader as one ``float()`` per component, line by line: the
+    same checks in the same order, with the same messages."""
+    with open(path, encoding="utf-8") as fin:
+        vocab_size, dimension = _read_header(fin, str(path), binary=False)
+        words, rows = [], []
+        for i in range(vocab_size):
+            line = fin.readline()
+            if not line:
+                raise ModelFormatError(
+                    f"{path}: truncated: expected {vocab_size} entries, found {i}"
+                )
+            parts = line.rstrip().split(" ")
+            if len(parts) != dimension + 1:
+                raise ModelFormatError(
+                    f"{path}: line {i + 2}: expected token plus {dimension} "
+                    f"components, found {len(parts) - 1}"
+                )
+            try:
+                rows.append([float(x) for x in parts[1:]])
+            except ValueError:
+                raise ModelFormatError(f"{path}: line {i + 2}: unparseable component") from None
+            words.append(parts[0])
+            if len(rows) % _BLOCK_ROWS and i < vocab_size - 1:
+                continue
+            first = (len(rows) - 1) // _BLOCK_ROWS * _BLOCK_ROWS
+            block = np.array(rows[first:])
+            finite = np.isfinite(block).all(axis=1)
+            if not finite.all():
+                row = first + int(np.argmin(finite))
+                raise ModelFormatError(f"{path}: non-finite component in row {row}")
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(block, axis=1, keepdims=True)
+            usable = (norms[:, 0] > 1e-12) & np.isfinite(norms[:, 0])
+            if not usable.all():
+                row = first + int(np.argmin(usable))
+                raise ModelFormatError(
+                    f"{path}: zero-norm or overflowing vector in row {row} (cannot normalize)"
+                )
+    raw = np.array(rows)
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    return EmbeddingModel(words, (raw / norms).astype(np.float32))
+
+
+# spellings float() and loadtxt may read differently; whitespace ending a line
+SPELLINGS = ["1_0", "\u0661", "+1", ".5", "2.", "1E2", "nan", "1e400", "-0", "0",
+             "1\x1c", "1\u3000", "one", ""]
+LINE_ENDS = ["", " ", "\t", "\u3000"]
+FIELDS = st.sampled_from(SPELLINGS) | st.floats().map(repr)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=40, deadline=None)
+@given(
+    dimension=st.integers(1, 4),
+    rows=st.sampled_from([1, 5, _BLOCK_ROWS + 3]),
+    declared_extra=st.sampled_from([0, 0, 0, 1]),
+    seed=st.integers(0, 2**31 - 1),
+    data=st.data(),
+)
+def test_text_loader_matches_a_per_line_float_reference(
+    tmp_path_factory, dimension, rows, declared_extra, seed, data
+):
+    """Bit-identical words and vectors, or the same ModelFormatError, and
+    no warning."""
+    raw = np.random.default_rng(seed).standard_normal((rows, dimension))
+    lines = [f"f{i} " + " ".join(repr(float(x)) for x in r) + "\n" for i, r in enumerate(raw)]
+    for _ in range(data.draw(st.integers(0, 4), label="odd lines")):
+        position = data.draw(st.integers(0, rows - 1), label="position")
+        token = data.draw(st.text(alphabet='ab#"_', min_size=1, max_size=3), label="token")
+        width = data.draw(st.sampled_from([dimension] * 4 + [dimension - 1, dimension + 1]))
+        components = data.draw(st.lists(FIELDS, min_size=width, max_size=width))
+        end = data.draw(st.sampled_from(LINE_ENDS), label="line end")
+        lines[position] = " ".join([token, *components]) + end + "\n"
+    path = tmp_path_factory.mktemp("differential") / "m.txt"
+    path.write_text(f"{rows + declared_extra} {dimension}\n" + "".join(lines), encoding="utf-8")
+    try:
+        expected = reference_text_load(path)
+    except ModelFormatError as exc:
+        with pytest.raises(ModelFormatError) as raised:
+            load_text_model(path)
+        assert str(raised.value) == str(exc)
+        return
+    model = load_text_model(path)
+    assert model.words == expected.words
+    assert model.vectors.tobytes() == expected.vectors.tobytes()
 
 
 class TestGzipDamage:

@@ -540,3 +540,39 @@ def test_property_word_order_invariance(n, dim, seed):
         assert after.rank_doubled == word.rank_doubled
         assert after.in_interior == word.in_interior
         assert after.centrality == pytest.approx(word.centrality, rel=0, abs=1e-11)
+
+
+def side_signs(table, eps):
+    """The per-side signs whose sum is the table's r_doubled."""
+    return [geometry._sgn_band(side - table.sim, eps) for side in (table.sim1, table.sim2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 10),
+    dim=st.integers(2, 20),
+    eps1=st.floats(1e-12, 0.2),
+    widen=st.floats(1e-12, 0.3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_property_eps_monotonicity(n, dim, eps1, widen, seed):
+    """A wider band only flattens signs: for eps2 > eps1 each per-side sign
+    keeps its value or becomes 0, and interior(eps2) is within
+    interior(eps1).  Float64 rows built directly, as above."""
+    eps2 = eps1 + widen
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    tokens = tuple(f"w{i}" for i in range(n))
+    synset = ResolvedSynset("s", tokens, tokens, rows, n)
+    for focus in range(n):
+        narrow = partition_outcomes(synset, focus, eps=eps1)
+        wide = partition_outcomes(synset, focus, eps=eps2)
+        for column in ("sim", "sim1", "sim2"):
+            assert np.array_equal(getattr(narrow, column), getattr(wide, column))
+        narrow_signs, wide_signs = side_signs(narrow, eps1), side_signs(wide, eps2)
+        assert np.array_equal(narrow.r_doubled, sum(narrow_signs))
+        assert np.array_equal(wide.r_doubled, sum(wide_signs))
+        for before, after in zip(narrow_signs, wide_signs):
+            assert np.all((after == before) | (after == 0))
+    assert analyze_synset(synset, eps=eps2).interior <= analyze_synset(synset, eps=eps1).interior
