@@ -22,7 +22,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .embeddings import EmbeddingModel, load_binary_model, load_text_model
 from .errors import DegenerateGeometryError, SynsetGeomError, SynsetSizeError
@@ -89,6 +89,28 @@ class RunConfig:
 # argument parsing
 
 
+# the options every command takes after --model; each help states its
+# default through %(default)s, so the default is written once
+_COMMON_OPTIONS = (
+    ("--synsets", dict(required=True, metavar="PATH", help="synset file")),
+    ("--format", dict(choices=("tsv", "jsonl"), default=None,
+                      help="synset file format (default: by extension, tsv unless .jsonl)")),
+    ("--output", dict(choices=OUTPUT_FORMATS, default="table",
+                      help="rendering (default: %(default)s); json is the machine format")),
+    ("--eps", dict(type=float, default=DEFAULT_EPS,
+                   help="equality band for similarity comparisons (default %(default)s)")),
+    ("--oov", dict(choices=OOV_MODES, default="drop-word",
+                   help="policy for words missing from the model (default %(default)s)")),
+    ("--tag-suffixes", dict(default=",".join(DEFAULT_TAG_SUFFIXES), metavar="CSV",
+                            help="lookup suffixes for POS-tagged vocabularies "
+                            "(default %(default)s; pass '' for none)")),
+    ("--lowercase-fallback", dict(action="store_true", help="also try lowercased lookups")),
+    ("--max-synset-size", dict(type=int, default=DEFAULT_MAX_SYNSET_SIZE,
+                               help="refuse synsets larger than this (default %(default)s)")),
+    ("--out", dict(default=None, metavar="PATH", help="write output here instead of stdout")),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="synsetgeom",
@@ -96,95 +118,25 @@ def _build_parser() -> _Parser:
         "over word embeddings.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add_common(p, models_required):
-        p.add_argument(
-            "--model",
-            action="append",
-            required=True,
-            metavar="PATH",
-            help="embedding model in word2vec format; .bin/.bin.gz is read as "
-            "binary, anything else as text"
-            + (" (give this flag twice)" if models_required == 2 else ""),
-        )
-        p.add_argument(
-            "--synsets", required=True, metavar="PATH", help="synset file"
-        )
-        p.add_argument(
-            "--format",
-            choices=("tsv", "jsonl"),
-            default=None,
-            help="synset file format (default: by extension, tsv unless .jsonl)",
-        )
-        p.add_argument(
-            "--output",
-            choices=OUTPUT_FORMATS,
-            default="table",
-            help="rendering (default: table); json is the machine format",
-        )
-        p.add_argument(
-            "--eps",
-            type=float,
-            default=DEFAULT_EPS,
-            help=f"equality band for similarity comparisons (default {DEFAULT_EPS})",
-        )
-        p.add_argument(
-            "--oov",
-            choices=OOV_MODES,
-            default="drop-word",
-            help="policy for words missing from the model (default drop-word)",
-        )
-        p.add_argument(
-            "--tag-suffixes",
-            default=",".join(DEFAULT_TAG_SUFFIXES),
-            metavar="CSV",
-            help="lookup suffixes for POS-tagged vocabularies "
-            f"(default {','.join(DEFAULT_TAG_SUFFIXES)}; pass '' for none)",
-        )
-        p.add_argument(
-            "--lowercase-fallback",
-            action="store_true",
-            help="also try lowercased lookups",
-        )
-        p.add_argument(
-            "--max-synset-size",
-            type=int,
-            default=DEFAULT_MAX_SYNSET_SIZE,
-            help=f"refuse synsets larger than this (default {DEFAULT_MAX_SYNSET_SIZE})",
-        )
-        p.add_argument(
-            "--out", default=None, metavar="PATH", help="write output here instead of stdout"
-        )
-
-    p = sub.add_parser("analyze", help="rank, centrality and interior per word")
-    add_common(p, 1)
-    p.set_defaults(n_models=1)
-
-    p = sub.add_parser(
-        "partitions", help="per-partition detail for one word of one synset"
-    )
-    p.add_argument("synset_id", help="synset id from the synset file")
-    p.add_argument("token", help="the focus word (surface form from the synset)")
-    add_common(p, 1)
-    p.set_defaults(n_models=1)
-
-    p = sub.add_parser("compare", help="interiors under two models, side by side")
-    add_common(p, 2)
-    p.set_defaults(n_models=2)
-
-    p = sub.add_parser("audit", help="find synsets with an empty interior")
-    add_common(p, 1)
-    p.set_defaults(n_models=1)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest, text in command.positionals:
+            p.add_argument(dest, help=text)
+        twice = " (give this flag twice)" if command.n_models == 2 else ""
+        p.add_argument("--model", action="append", required=True, metavar="PATH",
+                       help="embedding model in word2vec format; .bin/.bin.gz is read as "
+                       "binary, anything else as text" + twice)
+        for flag, options in _COMMON_OPTIONS:
+            p.add_argument(flag, **options)
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
     models = tuple(args.model)
-    if len(models) != args.n_models:
+    n_models = _COMMANDS[args.command].n_models
+    if len(models) != n_models:
         raise _UsageError(
-            f"{args.command} needs exactly {args.n_models} --model flag(s), "
-            f"got {len(models)}"
+            f"{args.command} needs exactly {n_models} --model flag(s), got {len(models)}"
         )
     fmt = args.format
     if fmt is None:
@@ -235,32 +187,28 @@ def _render_json(doc) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _csv_cell(cell):
+    """A row cell as csv writes it: true/false, a |-joined word list; csv
+    itself writes numbers, and None as an empty field."""
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    return "|".join(cell) if isinstance(cell, list) else cell
+
+
+def _table_cell(cell) -> str:
+    """A row cell as a table column shows it: +/-, a {braced, word list}."""
+    if isinstance(cell, bool):
+        return "+" if cell else "-"
+    return "{" + ", ".join(cell) + "}" if isinstance(cell, list) else str(cell)
 
 
 def _align(rows, indent="") -> list[str]:
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    cells = [[_table_cell(c) for c in r] for r in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
     return [
         indent + "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
-        for r in rows
+        for r in cells
     ]
-
-
-def _bool_str(b: bool) -> str:
-    return "true" if b else "false"
-
-
-def _cent_str(v: float) -> str:
-    return f"{v:.4f}"
-
-
-def _sim_str(v: float) -> str:
-    return f"{v:.6f}"
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +223,21 @@ class _Side(NamedTuple):
     outcome: ResolutionOutcome
     report: SynsetReport | None
     reason: str | None
+
+
+class _Command(NamedTuple):
+    """A subcommand: its parser entry, its document and its two text
+    renderings.  ``rows`` turns the document into a csv header and rows of
+    cells (str, number, bool or word list, see ``_csv_cell``/``_table_cell``);
+    csv writes them as they are and ``table`` lays them out with the
+    command's own head and foot lines.  JSON is the document itself."""
+
+    help: str
+    n_models: int
+    positionals: tuple[tuple[str, str], ...]  # (name, help)
+    document: Callable  # (args, cfg, models, raws) -> (doc, message if nothing ran)
+    rows: Callable  # doc -> (header, rows)
+    table: Callable  # (doc, rows) -> text
 
 
 def _skip_reason(raw: RawSynset, outcome: ResolutionOutcome) -> str:
@@ -308,6 +271,15 @@ def _analyze_side(raw: RawSynset, model: EmbeddingModel, cfg: RunConfig) -> _Sid
 def _run(raws, models, cfg: RunConfig) -> list[tuple[RawSynset, list[_Side]]]:
     """Every synset resolved and analyzed under every model, in file order."""
     return [(raw, [_analyze_side(raw, model, cfg) for model in models]) for raw in raws]
+
+
+def _one_model_run(raws, models, cfg: RunConfig):
+    """(raw, side) of every synset under the one model, the skipped ones'
+    entries, and the counts analyze and audit both summarize."""
+    sides = [(raw, side) for raw, (side,) in _run(raws, models, cfg)]
+    skipped = [{"id": raw.id, **_skip_doc(side)} for raw, side in sides if not side.report]
+    counts = {"total": len(sides), "analyzed": len(sides) - len(skipped), "skipped": len(skipped)}
+    return sides, skipped, counts
 
 
 def _synset_doc(side: _Side) -> dict:
@@ -349,6 +321,10 @@ def _skipped_lines(doc) -> list[str]:
     ]
 
 
+def _summary_line(doc) -> str:
+    return " ".join(f"{key}={value}" for key, value in doc["summary"].items())
+
+
 def _emit(cfg: RunConfig, text: str) -> None:
     """Write ``text`` as UTF-8 to ``--out`` or stdout, whatever the locale."""
     if not text.endswith("\n"):
@@ -363,17 +339,28 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.buffer.flush()
 
 
+def _render(command: _Command, doc, output: str) -> str:
+    """JSON straight from the document; csv and table from the command's rows."""
+    if output == "json":
+        return _render_json(doc)
+    header, rows = command.rows(doc)
+    if output == "table":
+        return command.table(doc, rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(cell) for cell in row] for row in rows)
+    return buf.getvalue().rstrip("\n")
+
+
 def _execute(args) -> int:
     """Load, parse, build the command's document, render and emit it."""
     cfg = _config_from_args(args)
     models = [_load_model(p) for p in cfg.model_paths]
     raws = parse_synsets(cfg.synsets_path, cfg.synset_format)
-    if args.command == "partitions":
-        doc, nothing = _partitions_doc(args, cfg, models[0], raws), None
-    else:
-        doc, nothing = _PROJECTIONS[args.command](_run(raws, models, cfg))
-    render = _RENDERERS[args.command].get(cfg.output, _render_json)
-    _emit(cfg, render(doc))
+    command = _COMMANDS[args.command]
+    doc, nothing = command.document(args, cfg, models, raws)
+    _emit(cfg, _render(command, doc, cfg.output))
     if nothing:
         print(nothing, file=sys.stderr)
         return EXIT_NOTHING
@@ -384,70 +371,39 @@ def _execute(args) -> int:
 # analyze
 
 
-def _analyze_doc(results):
+def _analyze_doc(args, cfg: RunConfig, models, raws):
     """The analyze document and, when nothing was analyzed, the message."""
-    sides = [(raw, side) for raw, (side,) in results]
+    sides, skipped, counts = _one_model_run(raws, models, cfg)
     analyzed = [_synset_doc(side) for _, side in sides if side.report]
-    skipped = [{"id": raw.id, **_skip_doc(side)} for raw, side in sides if not side.report]
-    doc = {
-        "synsets": analyzed,
-        "skipped": skipped,
-        "summary": {
-            "total": len(sides),
-            "analyzed": len(analyzed),
-            "skipped": len(skipped),
-        },
-    }
+    doc = {"synsets": analyzed, "skipped": skipped, "summary": counts}
     return doc, None if analyzed else "no synsets analyzed"
 
 
-def _analyze_csv(doc) -> str:
-    rows = [
-        (
-            s["id"],
-            w["token"],
-            w["model_key"],
-            str(w["rank"]),
-            _cent_str(w["centrality"]),
-            _bool_str(w["in_interior"]),
-        )
+def _analyze_rows(doc):
+    """One row per word of every analyzed synset."""
+    header = ("synset_id", "token", "model_key", "rank", "centrality", "in_interior")
+    return header, [
+        (s["id"], w["token"], w["model_key"], w["rank"], f"{w['centrality']:.4f}",
+         w["in_interior"])
         for s in doc["synsets"]
         for w in s["words"]
     ]
-    return _csv_text(
-        ("synset_id", "token", "model_key", "rank", "centrality", "in_interior"), rows
-    )
 
 
-def _analyze_table(doc) -> str:
-    lines = []
+def _analyze_table(doc, rows) -> str:
+    lines, words = [], iter(rows)
     for s in doc["synsets"]:
-        interior = ", ".join(s["interior"]) if s["interior"] else "(empty)"
         lines.append(
-            f"synset {s['id']}  n={s['n']}"
-            f"  partitions/word={s['partition_count']}  interior: {interior}"
+            f"synset {s['id']}  n={s['n']}  partitions/word={s['partition_count']}"
+            f"  interior: {', '.join(s['interior']) or '(empty)'}"
         )
-        rows = [("token", "model_key", "rank", "centrality", "interior")]
-        for w in s["words"]:
-            rows.append(
-                (
-                    w["token"],
-                    w["model_key"],
-                    str(w["rank"]),
-                    _cent_str(w["centrality"]),
-                    "+" if w["in_interior"] else "-",
-                )
-            )
-        lines.extend(_align(rows, indent="  "))
-        for d in s["dropped"]:
-            lines.append(f"  dropped: {d['token']} ({d['reason']})")
+        own = [next(words)[1:] for _ in s["words"]]
+        lines += _align([("token", "model_key", "rank", "centrality", "interior"), *own], "  ")
+        lines += [f"  dropped: {d['token']} ({d['reason']})" for d in s["dropped"]]
         lines.append("")
     if doc["skipped"]:
-        lines.extend(_skipped_lines(doc) + [""])
-    sm = doc["summary"]
-    lines.append(
-        f"total={sm['total']} analyzed={sm['analyzed']} skipped={sm['skipped']}"
-    )
+        lines += _skipped_lines(doc) + [""]
+    lines.append(_summary_line(doc))
     return "\n".join(lines)
 
 
@@ -455,7 +411,7 @@ def _analyze_table(doc) -> str:
 # partitions
 
 
-def _partitions_doc(args, cfg: RunConfig, model: EmbeddingModel, raws) -> dict:
+def _partitions_doc(args, cfg: RunConfig, models, raws):
     """One row per partition of the focus word, and totals from the same
     table, so they equal what analyze reports for that word."""
     raw = next((r for r in raws if r.id == args.synset_id), None)
@@ -463,7 +419,7 @@ def _partitions_doc(args, cfg: RunConfig, model: EmbeddingModel, raws) -> dict:
         raise SynsetGeomError(
             f"synset id {args.synset_id!r} not found in {cfg.synsets_path}"
         )
-    outcome = resolve(raw, model, cfg.oov)
+    outcome = resolve(raw, models[0], cfg.oov)
     if outcome.status != STATUS_RESOLVED:
         raise SynsetGeomError(
             f"synset {raw.id!r} did not resolve: {_skip_reason(raw, outcome)}"
@@ -493,7 +449,7 @@ def _partitions_doc(args, cfg: RunConfig, model: EmbeddingModel, raws) -> dict:
         }
         for i, (mask, sim, sim1, sim2, r_doubled, delta) in enumerate(columns, start=1)
     ]
-    return {
+    doc = {
         "id": raw.id,
         "focus": args.token,
         "n": synset.n,
@@ -505,66 +461,54 @@ def _partitions_doc(args, cfg: RunConfig, model: EmbeddingModel, raws) -> dict:
             "in_interior": totals.in_interior,
         },
     }
+    return doc, None
 
 
-def _partition_cells(p) -> tuple[str, ...]:
-    """The similarity and contribution cells of one partition row."""
-    sims = (_sim_str(p["sim"]), _sim_str(p["sim1"]), _sim_str(p["sim2"]))
-    return sims + (str(p["delta_rank"]), _cent_str(p["delta_centrality"]))
-
-
-def _partitions_csv(doc) -> str:
+def _partitions_rows(doc):
+    """One row per partition, then the totals row."""
+    header = ("index", "s1", "s2", "sim", "sim1", "sim2", "delta_rank", "delta_centrality")
     rows = [
-        (str(p["index"]), "|".join(p["s1"]), "|".join(p["s2"]), *_partition_cells(p))
+        (p["index"], p["s1"], p["s2"], f"{p['sim']:.6f}", f"{p['sim1']:.6f}",
+         f"{p['sim2']:.6f}", p["delta_rank"], f"{p['delta_centrality']:.4f}")
         for p in doc["partitions"]
     ]
     t = doc["totals"]
-    rows.append(
-        ("total", "", "", "", "", "", str(t["rank"]), _cent_str(t["centrality"]))
-    )
-    return _csv_text(
-        ("index", "s1", "s2", "sim", "sim1", "sim2", "delta_rank", "delta_centrality"),
-        rows,
-    )
+    rows.append(("total", "", "", "", "", "", t["rank"], f"{t['centrality']:.4f}"))
+    return header, rows
 
 
-def _partitions_table(doc) -> str:
-    lines = [
+def _partitions_table(doc, rows) -> str:
+    rank, centrality = rows[-1][-2:]
+    interior = "member of interior" if doc["totals"]["in_interior"] else "not in interior"
+    head = ("#", "s1", "s2", "sim", "sim1", "sim2", "Δrank", "Δcentrality")
+    return "\n".join([
         f"synset {doc['id']}  focus={doc['focus']}  n={doc['n']}"
-        f"  partitions={doc['partition_count']}"
-    ]
-    rows = [("#", "s1", "s2", "sim", "sim1", "sim2", "Δrank", "Δcentrality")]
-    for p in doc["partitions"]:
-        blocks = ("{" + ", ".join(p["s1"]) + "}", "{" + ", ".join(p["s2"]) + "}")
-        rows.append((str(p["index"]), *blocks, *_partition_cells(p)))
-    lines.extend(_align(rows, indent="  "))
-    t = doc["totals"]
-    interior = "member of interior" if t["in_interior"] else "not in interior"
-    lines.append(
-        f"totals: rank={t['rank']} centrality={_cent_str(t['centrality'])} ({interior})"
-    )
-    return "\n".join(lines)
+        f"  partitions={doc['partition_count']}",
+        *_align([head, *rows[:-1]], indent="  "),
+        f"totals: rank={rank} centrality={centrality} ({interior})",
+    ])
 
 
 # ---------------------------------------------------------------------------
 # compare
 
 
+# an analyzed side's keys, in order, which are also its csv columns
+_COMPARE_FIELDS = ("status", "n", "interior_size", "interior", "words")
+
+
 def _compare_side(side: _Side) -> dict:
     if not side.report:
         return _skip_doc(side)
     report = side.report
-    return {
-        "status": "analyzed",
-        "n": report.n,
-        "interior_size": len(report.interior),
-        "interior": sorted(report.interior),
-        "words": [w.token for w in report.words],
-    }
+    words = [w.token for w in report.words]
+    values = ("analyzed", report.n, len(report.interior), sorted(report.interior), words)
+    return dict(zip(_COMPARE_FIELDS, values))
 
 
-def _compare_doc(results):
+def _compare_doc(args, cfg: RunConfig, models, raws):
     """The compare document and, when no synset was compared, the message."""
+    results = _run(raws, models, cfg)
     rows = []
     compared = differing = 0
     for raw, sides in results:
@@ -587,52 +531,35 @@ def _compare_doc(results):
     return doc, None if compared else "no synsets compared"
 
 
-def _compare_csv(doc) -> str:
-    rows = []
-    for r in doc["synsets"]:
-        cells = [r["id"]]
-        for side in r["models"]:
-            if side["status"] == "analyzed":
-                cells += [
-                    side["status"],
-                    str(side["n"]),
-                    str(side["interior_size"]),
-                    "|".join(side["interior"]),
-                    "|".join(side["words"]),
-                ]
-            else:
-                cells += [side["status"], "", "", "", ""]
-        cells.append("" if r["differs"] is None else _bool_str(r["differs"]))
-        rows.append(tuple(cells))
-    header = ("synset_id",) + tuple(
-        f"{name}_{i}"
-        for i in (1, 2)
-        for name in ("status", "n", "interior_size", "interior", "words")
-    ) + ("differs",)
-    return _csv_text(header, rows)
+def _compare_rows(doc):
+    """One row per synset: each model's side (a skipped one fills only its
+    status), then whether they differ."""
+    header = ("synset_id", *(f"{k}_{i}" for i in (1, 2) for k in _COMPARE_FIELDS), "differs")
+    return header, [
+        (r["id"], *(side.get(k, "") for side in r["models"] for k in _COMPARE_FIELDS),
+         r["differs"])
+        for r in doc["synsets"]
+    ]
 
 
-def _compare_table(doc) -> str:
+def _compare_table(doc, rows) -> str:
+    """One paragraph per synset; a skipped side shows the reason the csv
+    leaves out, so this reads the document rather than the rows."""
     lines = []
     for r in doc["synsets"]:
         flag = " *interior size differs*" if r["differs"] else ""
         lines.append(f"synset {r['id']}{flag}")
         for i, side in enumerate(r["models"], start=1):
             if side["status"] == "analyzed":
-                interior = ", ".join(side["interior"]) if side["interior"] else "(empty)"
                 lines.append(
                     f"  model {i}: n={side['n']}  |interior|={side['interior_size']}"
-                    f"  interior: {interior}"
+                    f"  interior: {', '.join(side['interior']) or '(empty)'}"
                 )
                 lines.append(f"    order: {', '.join(side['words'])}")
             else:
                 lines.append(f"  model {i}: {side['status']}: {side['reason']}")
         lines.append("")
-    sm = doc["summary"]
-    lines.append(
-        f"total={sm['total']} compared={sm['compared']} "
-        f"skipped={sm['skipped']} differing={sm['differing']}"
-    )
+    lines.append(_summary_line(doc))
     return "\n".join(lines)
 
 
@@ -640,59 +567,44 @@ def _compare_table(doc) -> str:
 # audit
 
 
-def _audit_doc(results):
+def _audit_doc(args, cfg: RunConfig, models, raws):
     """The audit document; audit succeeds even when nothing was analyzed."""
-    sides = [(raw, side) for raw, (side,) in results]
+    sides, skipped, counts = _one_model_run(raws, models, cfg)
     weak = [
         {"id": raw.id, "n": side.report.n, "words": [w.token for w in side.report.words]}
         for raw, side in sides
         if side.report and not side.report.interior
     ]
-    skipped = [{"id": raw.id, **_skip_doc(side)} for raw, side in sides if not side.report]
-    doc = {
-        "weak": weak,
-        "skipped": skipped,
-        "summary": {
-            "total": len(sides),
-            "analyzed": len(sides) - len(skipped),
-            "skipped": len(skipped),
-            "weak": len(weak),
-        },
-    }
+    doc = {"weak": weak, "skipped": skipped, "summary": {**counts, "weak": len(weak)}}
     return doc, None
 
 
-def _audit_csv(doc) -> str:
-    rows = [(w["id"], str(w["n"]), "|".join(w["words"])) for w in doc["weak"]]
-    return _csv_text(("synset_id", "n", "words"), rows)
+def _audit_rows(doc):
+    return ("synset_id", "n", "words"), [(w["id"], w["n"], w["words"]) for w in doc["weak"]]
 
 
-def _audit_table(doc) -> str:
-    lines = []
-    if doc["weak"]:
-        lines.append("weak synsets (empty interior):")
-        for w in doc["weak"]:
-            lines.append(f"  {w['id']}  n={w['n']}  words: {', '.join(w['words'])}")
-    else:
-        lines.append("no weak synsets")
-    lines.extend(_skipped_lines(doc))
-    sm = doc["summary"]
-    lines.append(
-        f"total={sm['total']} analyzed={sm['analyzed']} "
-        f"skipped={sm['skipped']} weak={sm['weak']}"
-    )
+def _audit_table(doc, rows) -> str:
+    lines = ["weak synsets (empty interior):"] if rows else ["no weak synsets"]
+    lines += [f"  {synset_id}  n={n}  words: {', '.join(words)}" for synset_id, n, words in rows]
+    lines += _skipped_lines(doc)
+    lines.append(_summary_line(doc))
     return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 
 
-_PROJECTIONS = {"analyze": _analyze_doc, "compare": _compare_doc, "audit": _audit_doc}
-_RENDERERS = {
-    "analyze": {"csv": _analyze_csv, "table": _analyze_table},
-    "partitions": {"csv": _partitions_csv, "table": _partitions_table},
-    "compare": {"csv": _compare_csv, "table": _compare_table},
-    "audit": {"csv": _audit_csv, "table": _audit_table},
+_COMMANDS = {
+    "analyze": _Command("rank, centrality and interior per word", 1, (),
+                        _analyze_doc, _analyze_rows, _analyze_table),
+    "partitions": _Command("per-partition detail for one word of one synset", 1,
+                           (("synset_id", "synset id from the synset file"),
+                            ("token", "the focus word (surface form from the synset)")),
+                           _partitions_doc, _partitions_rows, _partitions_table),
+    "compare": _Command("interiors under two models, side by side", 2, (),
+                        _compare_doc, _compare_rows, _compare_table),
+    "audit": _Command("find synsets with an empty interior", 1, (),
+                      _audit_doc, _audit_rows, _audit_table),
 }
 
 

@@ -53,6 +53,15 @@ def block_sim(block1, block2):
     return partition_row(syn, len(rows) - 1, (1 << len(block1)) - 1)[0]
 
 
+def write_model_file(path, words, rows):
+    """Write raw rows in word2vec text format, without normalizing them."""
+    rows = np.asarray(rows, float)
+    lines = [f"{len(words)} {rows.shape[1]}"]
+    for w, row in zip(words, rows):
+        lines.append(w + " " + " ".join(repr(float(x)) for x in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def save_text_model(model, path):
     """Write a model in word2vec text format (components round-trip exactly)."""
     with open(str(path), "w", encoding="utf-8", newline="\n") as fout:

@@ -14,7 +14,8 @@ import pytest
 from synsetgeom import cli, geometry, load_text_model
 from synsetgeom.cli import main
 
-from synth import save_binary_model
+import renderings
+from synth import save_binary_model, write_model_file
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURE_MODEL = str(DATA / "fixture_model.txt")
@@ -299,30 +300,12 @@ class TestPartitionsCommand:
         assert "not in synset" in err
 
 
-def write_model_file(path, words, rows):
-    rows = np.asarray(rows, float)
-    lines = [f"{len(words)} {rows.shape[1]}"]
-    for w, row in zip(words, rows):
-        lines.append(w + " " + " ".join(repr(float(x)) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 @pytest.fixture
 def contrast_models(tmp_path):
     """Two models over one vocabulary: under A the synset has a central word,
     under B it splits into two clusters (empty interior)."""
-    words = ["w", "a", "b", "c"]
-    rest = np.array([[1, 0.5, 0], [1, 0, 0.5], [1, -0.5, 0]], float)
-    rest /= np.linalg.norm(rest, axis=1, keepdims=True)
-    central = np.vstack([rest.sum(axis=0), rest])
-    clustered = np.array([[1, 0, 0], [1, 0.01, 0], [0, 1, 0], [0, 1, 0.01]], float)
-    model_a = tmp_path / "a.txt"
-    model_b = tmp_path / "b.txt"
-    write_model_file(model_a, words, central)
-    write_model_file(model_b, words, clustered)
-    synsets = tmp_path / "synsets.tsv"
-    synsets.write_text("quad\tw\tw|a|b|c\n", encoding="utf-8")
-    return str(model_a), str(model_b), str(synsets)
+    renderings.write_inputs(tmp_path)
+    return str(tmp_path / "a.txt"), str(tmp_path / "b.txt"), str(tmp_path / "quad.tsv")
 
 
 class TestCompareCommand:
@@ -527,3 +510,53 @@ class TestFlags:
         assert {s["id"] for s in doc["synsets"]} == {"waters", "mood"}
         battle = next(sk for sk in doc["skipped"] if sk["id"] == "battle")
         assert battle["status"] == "too-small-after-filter"
+
+
+@pytest.fixture(scope="module")
+def rendering_inputs(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("renderings")
+    renderings.write_inputs(workdir)
+    return workdir
+
+
+@pytest.fixture(scope="module")
+def golden_renderings():
+    return json.loads(renderings.GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(renderings.CASES))
+def test_rendering_is_byte_identical_to_golden(case, rendering_inputs, golden_renderings,
+                                               monkeypatch):
+    monkeypatch.chdir(rendering_inputs)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert renderings.run_case(renderings.CASES[case]) == golden_renderings[case]
+
+
+def test_golden_renderings_hold_exactly_the_cases(golden_renderings):
+    assert sorted(golden_renderings) == sorted(renderings.CASES)
+
+
+# perfbench/spans.py times each layer by wrapping these names in cli's namespace
+TRACE_POINTS = ("load_text_model", "load_binary_model", "parse_synsets", "resolve",
+                "analyze_synset", "partition_outcomes")
+
+
+@pytest.mark.parametrize("name", TRACE_POINTS)
+def test_cli_binds_the_benchmark_trace_points(name):
+    assert callable(getattr(cli, name, None)), f"synsetgeom.cli no longer binds {name}"
+
+
+def test_cli_calls_the_trace_points_through_its_namespace(capsys, monkeypatch, tmp_path):
+    called = set()
+    for name in TRACE_POINTS:
+        fn = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, _fn=fn, _name=name, **k: called.add(_name) or _fn(*a, **k)
+        )
+    binary = tmp_path / "fixture.bin"
+    save_binary_model(load_text_model(FIXTURE_MODEL), binary)
+    synsets = ("--synsets", FIXTURE_SYNSETS)
+    assert run(capsys, "analyze", "--model", str(binary), *synsets)[0] == 0
+    code, _, _ = run(capsys, "partitions", "battle", "бой", "--model", FIXTURE_MODEL, *synsets)
+    assert code == 0
+    assert called == set(TRACE_POINTS)

@@ -576,3 +576,86 @@ def test_property_eps_monotonicity(n, dim, eps1, widen, seed):
         for before, after in zip(narrow_signs, wide_signs):
             assert np.all((after == before) | (after == 0))
     assert analyze_synset(synset, eps=eps2).interior <= analyze_synset(synset, eps=eps1).interior
+
+
+def edge_free(table, eps):
+    """The partitions whose deltas all lie more than 1e-10 from +-eps, where
+    rounding at the 1e-11 level cannot move a sign across the band's edge."""
+    return np.all(
+        [np.abs(np.abs(side - table.sim) - eps) > 1e-10 for side in (table.sim1, table.sim2)],
+        axis=0,
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(3, 16),
+    dim=st.integers(2, 3),
+    tilt_exponent=st.floats(-5, -1),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_property_engines_agree_at_high_n(n, dim, tilt_exponent, seed):
+    """Near-cancelling synsets up to n=16 in 2 and 3 dimensions: the table
+    _word_table reads from the subset norms (falling back below
+    GRAM_MIN_BLOCK_Q) equals the vector path's for every word.  The oracle
+    stops at n=12, so above it this is the only check of the threshold."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim))
+    # word 1 is word 0 reversed and tilted: blocks holding both nearly cancel,
+    # with squared norms from about 1e-10 to 1e-2, across the threshold
+    tilt = 10.0**tilt_exponent * rng.standard_normal(dim)
+    rows[1] = -rows[0] / np.linalg.norm(rows[0]) + tilt
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    tokens = tuple(f"w{i}" for i in range(n))
+    synset = ResolvedSynset("s", tokens, tokens, rows, n)
+    q = geometry._subset_norms(synset)
+    masks = enumerate_partitions(n - 1)
+    for focus in range(n):
+        read = geometry._word_table(synset, q, focus, masks, DEFAULT_EPS)
+        exact = geometry._partition_table(synset, focus, DEFAULT_EPS)
+        for column in ("sim", "sim1", "sim2"):
+            np.testing.assert_allclose(
+                getattr(read, column), getattr(exact, column), rtol=0, atol=1e-9
+            )
+        keep = edge_free(exact, DEFAULT_EPS)
+        assert np.array_equal(read.r_doubled[keep], exact.r_doubled[keep])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 10),
+    dim=st.integers(2, 20),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_property_rotation_invariance(n, dim, seed):
+    """Rotating every vector by one orthogonal Q (the QR of a Gaussian
+    matrix) moves no rank or interior flag away from the eps edge, and moves
+    centrality by at most 1e-9.  Float64 rows built directly: from_arrays'
+    float32 rounding alone moves centrality by about 1e-5."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    tokens = tuple(f"w{i}" for i in range(n))
+    base = ResolvedSynset("s", tokens, tokens, rows, n)
+    turned = ResolvedSynset("s", tokens, tokens, rows @ rotation, n)
+    on_edge = set()
+    for focus, token in enumerate(tokens):
+        before, after = partition_outcomes(base, focus), partition_outcomes(turned, focus)
+        for column in ("sim", "sim1", "sim2"):
+            np.testing.assert_allclose(
+                getattr(after, column), getattr(before, column), rtol=0, atol=1e-9
+            )
+        keep = edge_free(before, DEFAULT_EPS)
+        assert np.array_equal(after.r_doubled[keep], before.r_doubled[keep])
+        if not keep.all():
+            on_edge.add(token)
+    report, moved = analyze_synset(base), analyze_synset(turned)
+    after_by_token = {w.token: w for w in moved.words}
+    for word in report.words:
+        after = after_by_token[word.token]
+        assert after.centrality == pytest.approx(word.centrality, rel=0, abs=1e-9)
+        if word.token not in on_edge:
+            assert after.rank_doubled == word.rank_doubled
+            assert after.in_interior == word.in_interior
+    assert report.interior - on_edge == moved.interior - on_edge
