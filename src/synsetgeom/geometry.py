@@ -283,10 +283,14 @@ def _partition_table(synset: ResolvedSynset, focus: int, eps: float) -> Partitio
 
 def _subset_norms(synset: ResolvedSynset) -> np.ndarray:
     """``q[T] = |sum of the vectors in T|**2`` for every bitmask T over the
-    synset's words, up to one common scale, in O(2**n) additions."""
+    synset's words, up to one common scale, in O(2**n) additions.
+
+    The sums run over the words sorted by their vectors, so each q[T] is
+    the same float whatever order the synset lists its words in."""
     n = synset.n
     _check_budget(synset, 80 << n, "subset-norm table")
-    vecs = synset.vectors
+    order = np.lexsort(synset.vectors.T[::-1])
+    vecs = synset.vectors[order]
     # a repeated vector reads the Gram entries of its first occurrence, so
     # they are bit-identical; a common scale leaves every cosine unchanged
     # and makes a synset of one repeated vector exact
@@ -301,7 +305,11 @@ def _subset_norms(synset: ResolvedSynset) -> np.ndarray:
         for i in range(j):
             cross[1 << i : 2 << i] = cross[: 1 << i] + gram[i, j]
         q[lo : 2 * lo] = q[:lo] + 2.0 * cross + gram[j, j]
-    return q
+    # index[T] is the sorted-order mask of the words in synset mask T
+    index = np.zeros(1 << n, dtype=np.intp)
+    for j, k in enumerate(np.argsort(order)):
+        index[1 << j : 2 << j] = index[: 1 << j] | (1 << int(k))
+    return q[index]
 
 
 def _word_table(
