@@ -28,11 +28,13 @@ from .geometry import (
     analyze_synset,
     enumerate_partitions,
     partition_outcomes,
+    word_attributes,
 )
 from .ingestion import (
     OovPolicy,
     RawSynset,
     ResolutionOutcome,
+    candidate_keys,
     parse_synsets,
     resolve,
 )
@@ -57,10 +59,12 @@ __all__ = [
     "SynsetSizeError",
     "WordAttributes",
     "analyze_synset",
+    "candidate_keys",
     "enumerate_partitions",
     "load_binary_model",
     "load_text_model",
     "parse_synsets",
     "partition_outcomes",
     "resolve",
+    "word_attributes",
 ]

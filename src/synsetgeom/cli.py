@@ -30,9 +30,9 @@ from .geometry import (
     DEFAULT_EPS,
     DEFAULT_MAX_SYNSET_SIZE,
     SynsetReport,
-    _attributes,
     analyze_synset,
     partition_outcomes,
+    word_attributes,
 )
 from .ingestion import (
     DEFAULT_TAG_SUFFIXES,
@@ -44,6 +44,7 @@ from .ingestion import (
     OovPolicy,
     RawSynset,
     ResolutionOutcome,
+    candidate_keys,
     parse_synsets,
     resolve,
 )
@@ -158,11 +159,11 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _load_model(path: str) -> EmbeddingModel:
+def _load_model(path: str, keys) -> EmbeddingModel:
     name = path[:-3] if path.endswith(".gz") else path
     if name.endswith(".bin"):
-        return load_binary_model(path)
-    return load_text_model(path)
+        return load_binary_model(path, keys=keys)
+    return load_text_model(path, keys=keys)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +355,15 @@ def _render(command: _Command, doc, output: str) -> str:
 
 
 def _execute(args) -> int:
-    """Load, parse, build the command's document, render and emit it."""
+    """Parse, load, build the command's document, render and emit it.
+
+    The synsets come first: each model is loaded with only the keys their
+    words can resolve to, and a bad synset file is reported before a bad
+    model."""
     cfg = _config_from_args(args)
-    models = [_load_model(p) for p in cfg.model_paths]
     raws = parse_synsets(cfg.synsets_path, cfg.synset_format)
+    keys = candidate_keys(raws, cfg.oov)
+    models = [_load_model(p, keys) for p in cfg.model_paths]
     command = _COMMANDS[args.command]
     doc, nothing = command.document(args, cfg, models, raws)
     _emit(cfg, _render(command, doc, cfg.output))
@@ -433,7 +439,7 @@ def _partitions_doc(args, cfg: RunConfig, models, raws):
         )
     focus = tokens.index(args.token)
     table = partition_outcomes(synset, focus, eps=cfg.eps, max_size=cfg.max_synset_size)
-    totals = _attributes(args.token, table, cfg.eps)
+    totals = word_attributes(args.token, table, cfg.eps)
     remaining = tokens[:focus] + tokens[focus + 1 :]
     columns = zip(*(column.tolist() for column in table))
     rows = [

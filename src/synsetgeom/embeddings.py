@@ -12,6 +12,14 @@ A text block's components are parsed at once by numpy's C reader
 (``np.loadtxt``); any block it refuses is re-read line by line with
 ``float()``, so the values, the inputs accepted and the errors are those of
 a line-by-line parse.  Binary entries are read one at a time.
+
+A load may be limited to a set of keys, the tokens a run can look up.  Every
+row's shape is still checked (UTF-8, the token plus ``dimension``
+components, a unique token, the declared entry count, an intact gzip
+stream), but only the kept rows are parsed, checked for finite components
+and a non-zero norm, and held: a model whose damage lies only in the
+components of other rows loads.  Errors name the same global line or row as
+a full load.
 """
 
 from __future__ import annotations
@@ -41,7 +49,9 @@ _NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 class EmbeddingModel:
     """An immutable vocabulary plus a row-per-token matrix of unit vectors.
 
-    Safe to share across threads: nothing is mutated after construction.
+    A model loaded with a key set holds only the kept rows, and
+    ``vocab_size`` counts those; it may hold none.  Safe to share across
+    threads: nothing is mutated after construction.
     """
 
     def __init__(self, words, vectors):
@@ -51,13 +61,9 @@ class EmbeddingModel:
             raise ValueError(
                 f"vectors must be a ({len(words)}, dim) matrix, got {vectors.shape}"
             )
-        if len(words) == 0 or vectors.shape[1] == 0:
-            raise ValueError("model must have at least one word and one dimension")
-        index = {}
-        for row, word in enumerate(words):
-            if word in index:
-                raise ModelFormatError(f"duplicate token {word!r}")
-            index[word] = row
+        if vectors.shape[1] == 0:
+            raise ValueError("model must have at least one dimension")
+        index = _index(words)
         norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
         bad = np.nonzero(np.abs(norms - 1.0) > NORM_ATOL)[0]
         if bad.size:
@@ -93,18 +99,29 @@ class EmbeddingModel:
         return f"EmbeddingModel(vocab_size={self.vocab_size}, dimension={self.dimension})"
 
 
-def _normalize_rows(raw, source: str, first_row: int = 0) -> np.ndarray:
-    """``raw``'s rows scaled to unit length, as a new float32 array.  Row
-    numbers in errors count from ``first_row``."""
+def _index(words) -> dict:
+    """Each word's position; the first repeated word is a ModelFormatError."""
+    index = {}
+    for row, word in enumerate(words):
+        if word in index:
+            raise ModelFormatError(f"duplicate token {word!r}")
+        index[word] = row
+    return index
+
+
+def _normalize_rows(raw, source: str, rows=None) -> np.ndarray:
+    """``raw``'s rows scaled to unit length, as a new float32 array.  Errors
+    name ``raw[i]`` as row ``rows[i]`` (row ``i`` without ``rows``)."""
     raw64 = np.asarray(raw, dtype=np.float64)
     if not np.all(np.isfinite(raw64)):
-        row = first_row + int(np.nonzero(~np.isfinite(raw64).all(axis=1))[0][0])
+        i = int(np.nonzero(~np.isfinite(raw64).all(axis=1))[0][0])
+        row = i if rows is None else rows[i]
         raise ModelFormatError(f"{source}: non-finite component in row {row}")
     with np.errstate(over="ignore"):  # components past ~1e154 overflow to inf
         norms = np.linalg.norm(raw64, axis=1, keepdims=True)
     bad = np.nonzero(~((norms[:, 0] > DEGENERATE_NORM) & np.isfinite(norms[:, 0])))[0]
     if bad.size:
-        row = first_row + int(bad[0])
+        row = int(bad[0]) if rows is None else rows[bad[0]]
         raise ModelFormatError(
             f"{source}: zero-norm or overflowing vector in row {row} (cannot normalize)"
         )
@@ -161,93 +178,114 @@ def _open_model(path: str, binary: bool):
         ) from None
 
 
-def _load(path, binary: bool) -> EmbeddingModel:
+def _load(path, binary: bool, keys=None) -> EmbeddingModel:
     path = str(path)
+    read_block = _binary_block if binary else _text_block
     with _open_model(path, binary) as fin:
         vocab_size, dimension = _read_header(fin, path, binary)
-        words, blocks = [], []
+        words, rows, blocks = [], [], []
         for start in range(0, vocab_size, _BLOCK_ROWS):
             count = min(_BLOCK_ROWS, vocab_size - start)
-            if binary:
-                tokens, raw = _entry_block(_binary_entry, fin, path, start, count, dimension)
-            else:
-                tokens, raw = _text_block(fin, path, start, count, dimension)
+            tokens, kept, raw = read_block(fin, path, start, count, dimension, keys)
             words += tokens
             if len(tokens) < count:
                 raise ModelFormatError(
                     f"{path}: truncated: expected {vocab_size} entries, found {len(words)}"
                 )
-            blocks.append(_normalize_rows(raw, path, start))
+            blocks.append(_normalize_rows(raw, path, kept))
+            rows += kept
             del raw  # before the next block is read
+    if keys is not None:
+        _index(words)  # every token is unique, kept or not
+        words = [words[row] for row in rows]
     return EmbeddingModel(words, np.concatenate(blocks))
 
 
-def _entry_block(read_entry, source, path: str, start: int, count: int, dimension: int):
-    """The tokens and a float64 ``(count, dimension)`` block of entries
-    ``start`` onwards, read one entry at a time; fewer tokens if ``source``
-    ends first."""
-    tokens, raw = [], np.empty((count, dimension))
+def _binary_block(fin, path: str, start: int, count: int, dimension: int, keys):
+    """The tokens of entries ``start`` onwards (fewer than ``count`` if the
+    file ends first), the entry numbers kept (those whose token is in
+    ``keys``; all without it) and a float64 block of their components.  The
+    other entries' components are read past, not converted."""
+    tokens, kept, raw = [], [], np.empty((count, dimension))
     for j in range(count):
-        entry = read_entry(source, path, start + j, dimension)
+        entry = _binary_entry(fin, path, start + j, dimension)
         if entry is None:
             break
-        tokens.append(entry[0])
-        raw[j] = entry[1]
-    return tokens, raw
+        token, components = entry
+        tokens.append(token)
+        if keys is None or token in keys:
+            raw[len(kept)] = np.frombuffer(components, dtype="<f4")
+            kept.append(start + j)
+    return tokens, kept, raw[: len(kept)]
 
 
-def _text_block(fin, path: str, start: int, count: int, dimension: int):
-    """``_entry_block`` for text lines, parsed in one ``np.loadtxt`` call.
+def _text_block(fin, path: str, start: int, count: int, dimension: int, keys):
+    """``_binary_block`` for the next ``count`` text lines.
+
+    Every line's shape is checked: without its trailing whitespace it holds
+    a token and ``dimension`` single-space-separated components.  Only the
+    kept lines' components are parsed, and an error in a kept line comes
+    before a shape error in a later line, as in a line-by-line parse.
+    """
+    lines = [line.rstrip() for line in itertools.islice(fin, count)]
+    tokens, kept = [], []
+
+    def parse_kept():
+        return _parse_components([lines[i - start] for i in kept], kept, path, dimension)
+
+    for j, line in enumerate(lines):
+        spaces = line.count(" ")
+        if spaces != dimension:
+            parse_kept()  # an error in an earlier kept line comes first
+            raise ModelFormatError(
+                f"{path}: line {start + j + 2}: expected token plus {dimension} "
+                f"components, found {spaces}"
+            )
+        token = line[: line.index(" ")]
+        tokens.append(token)
+        if keys is None or token in keys:
+            kept.append(start + j)
+    return tokens, kept, parse_kept()
+
+
+def _parse_components(lines, entries, path: str, dimension: int) -> np.ndarray:
+    """The float64 components of shape-checked, stripped ``lines`` (entries
+    ``entries``), parsed in one ``np.loadtxt`` call.
 
     ``loadtxt`` converts each field with ``PyOS_string_to_double``, as
-    ``float()`` does for ASCII input, so on a block without
+    ``float()`` does for ASCII input, so on lines without
     ``_NOT_FLOAT_SPACE`` every field it accepts ``float()`` accepts with the
     same value.  It skips blank lines and takes any width that is the same
-    on every line, hence the shape check.  A block it refuses is re-read
-    line by line, which gives the per-line errors and accepts the spellings
-    only ``float()`` takes (``1_0``, non-ASCII digits).
+    on every line, hence the shape check.  Lines it refuses are re-read one
+    by one, which gives the per-line errors and accepts the spellings only
+    ``float()`` takes (``1_0``, non-ASCII digits).
     """
-    lines = list(itertools.islice(fin, count))
-    # a block whose first line has no components fails the shape check
-    # anyway, and loadtxt warns when every line is blank
-    if (
-        len(lines) == count
-        and " " in lines[0].rstrip()
-        and not any(c in line for line in lines for c in _NOT_FLOAT_SPACE)
-    ):
-        tails = (line.rstrip().partition(" ")[2] for line in lines)
+    if lines and not any(c in line for line in lines for c in _NOT_FLOAT_SPACE):
+        tails = (line[line.index(" ") + 1 :] for line in lines)
         try:
             raw = np.loadtxt(tails, delimiter=" ", comments=None, quotechar=None, ndmin=2)
         except ValueError:
             pass
         else:
-            if raw.shape == (count, dimension):
-                # every stripped line has a space, so its first one ends the token
-                return [line.partition(" ")[0] for line in lines], raw
-    return _entry_block(_text_entry, iter(lines), path, start, count, dimension)
+            if raw.shape == (len(lines), dimension):
+                return raw
+    return _parse_lines(lines, entries, path, dimension)
 
 
-def _text_entry(lines, path: str, i: int, dimension: int):
-    """Entry ``i``'s (token, components) from the next of ``lines``; None
-    when they have run out."""
-    line = next(lines, None)
-    if line is None:
-        return None
-    parts = line.rstrip().split(" ")
-    if len(parts) != dimension + 1:
-        raise ModelFormatError(
-            f"{path}: line {i + 2}: expected token plus {dimension} "
-            f"components, found {len(parts) - 1}"
-        )
-    try:
-        return parts[0], [float(x) for x in parts[1:]]
-    except ValueError:
-        raise ModelFormatError(f"{path}: line {i + 2}: unparseable component") from None
+def _parse_lines(lines, entries, path: str, dimension: int) -> np.ndarray:
+    """``_parse_components`` with one ``float()`` per component."""
+    raw = np.empty((len(lines), dimension))
+    for r, (line, i) in enumerate(zip(lines, entries)):
+        try:
+            raw[r] = [float(x) for x in line.split(" ")[1:]]
+        except ValueError:
+            raise ModelFormatError(f"{path}: line {i + 2}: unparseable component") from None
+    return raw
 
 
 def _binary_entry(fin, path: str, i: int, dimension: int):
-    """Entry ``i``'s (token, float32 components); None if the file ends
-    before its token does."""
+    """Entry ``i``'s token and raw little-endian float32 bytes; None if the
+    file ends before its token does."""
     buf = bytearray()
     while True:
         b = fin.read(1)
@@ -269,10 +307,10 @@ def _binary_entry(fin, path: str, i: int, dimension: int):
         raise ModelFormatError(
             f"{path}: truncated: entry {i} ({token!r}) has incomplete vector data"
         )
-    return token, np.frombuffer(chunk, dtype="<f4")
+    return token, chunk
 
 
-def load_text_model(path) -> EmbeddingModel:
+def load_text_model(path, keys=None) -> EmbeddingModel:
     """Load a word2vec text-format model (gzipped files accepted).
 
     Expected layout: a ``<vocab_size> <dimension>`` header line, then one
@@ -280,16 +318,25 @@ def load_text_model(path) -> EmbeddingModel:
     Trailing whitespace, such as the space the original word2vec tool
     writes after the last component, is ignored.  Rows are L2-normalized
     on load.
+
+    With ``keys`` (a set of tokens), every line's shape is still checked,
+    but only the lines whose token is in ``keys`` are parsed and kept; a
+    model whose damage lies only in other lines' components loads.
     """
-    return _load(path, binary=False)
+    return _load(path, binary=False, keys=keys)
 
 
-def load_binary_model(path) -> EmbeddingModel:
+def load_binary_model(path, keys=None) -> EmbeddingModel:
     """Load a word2vec binary-format model (gzipped files accepted).
 
     Layout: ASCII ``<vocab_size> <dimension>\\n`` header, then per entry a
     token, one 0x20 byte, ``dimension`` little-endian float32s, and an
     optional 0x0A.  Both trailing-newline layouts found in the wild are
     accepted.  Rows are L2-normalized on load.
+
+    With ``keys`` (a set of tokens), every entry's token and length are
+    still checked, but only the entries whose token is in ``keys`` are
+    converted and kept; a model whose damage lies only in other entries'
+    components loads.
     """
-    return _load(path, binary=True)
+    return _load(path, binary=True, keys=keys)

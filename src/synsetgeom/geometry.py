@@ -159,10 +159,6 @@ class WordAttributes:
     in_interior: bool
     partition_count: int
 
-    @property
-    def rank(self) -> float:
-        return self.rank_doubled / 2
-
 
 @dataclass(frozen=True)
 class SynsetReport:
@@ -341,9 +337,10 @@ def _word_table(
     )
 
 
-def _attributes(token: str, table: PartitionTable, eps: float) -> WordAttributes:
-    """Sum one word's table into its rank, centrality and interior
-    membership (strict improvement on both sides of every split)."""
+def word_attributes(token: str, table: PartitionTable, eps: float) -> WordAttributes:
+    """Sum one word's ``partition_outcomes`` table into its rank, centrality
+    and interior membership (strict improvement on both sides of every
+    split), as ``analyze_synset`` reports them."""
     d1 = table.sim1 - table.sim
     d2 = table.sim2 - table.sim
     return WordAttributes(
@@ -388,7 +385,7 @@ def analyze_synset(
     q = _subset_norms(synset)
     masks = enumerate_partitions(synset.n - 1)
     attrs = [
-        _attributes(token, _word_table(synset, q, focus, masks, eps), eps)
+        word_attributes(token, _word_table(synset, q, focus, masks, eps), eps)
         for focus, token in enumerate(synset.tokens)
     ]
     attrs.sort(key=lambda w: (-w.rank_doubled, -w.centrality, w.token))

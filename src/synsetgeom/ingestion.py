@@ -160,7 +160,18 @@ def _parse_jsonl_line(line: str, lineno: int) -> RawSynset:
     return RawSynset(synset_id, headword or None, words)
 
 
+def candidate_keys(synsets, policy: OovPolicy = OovPolicy()) -> frozenset[str]:
+    """Every model key ``resolve`` can look up for the words of ``synsets``
+    under ``policy``: a model loaded with these keys resolves them exactly
+    as the whole model does."""
+    return frozenset(
+        key for synset in synsets for token in synset.words for key in _candidates(token, policy)
+    )
+
+
 def _candidates(token: str, policy: OovPolicy):
+    """The keys ``resolve`` tries for ``token``, in order: exact, each tag
+    suffix, then the lowercase forms when enabled."""
     yield token
     for suffix in policy.tag_suffixes:
         yield token + suffix

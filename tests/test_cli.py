@@ -171,6 +171,31 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: line 1: not valid UTF-8")
 
+    def test_a_bad_synset_file_is_reported_before_a_missing_model(self, capsys, tmp_path):
+        # the synsets are parsed first, since the model is loaded with their keys
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("battle\tбой\n", encoding="utf-8")
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run(capsys, "analyze", "--model", missing, "--synsets", str(bad))
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: expected 3 tab-separated fields (id, headword, words), got 2\n"
+
+    def test_damage_only_in_rows_no_synset_can_use_is_not_an_error(self, capsys, tmp_path):
+        lines = pathlib.Path(FIXTURE_MODEL).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.append("unused_NOUN nan 0 zebra 0\n")
+        lines[0] = f"{len(lines) - 1} 4\n"
+        damaged = tmp_path / "damaged.txt"
+        damaged.write_text("".join(lines), encoding="utf-8")
+        code, out, _ = run(capsys, "analyze", "--model", str(damaged), "--synsets",
+                           FIXTURE_SYNSETS, "--output", "json")
+        assert code == 0
+        assert out == GOLDEN.read_text(encoding="utf-8")
+        synsets = tmp_path / "s.tsv"
+        synsets.write_text("s\t\tбой|битва|unused\n", encoding="utf-8")
+        code, _, err = run(capsys, "analyze", "--model", str(damaged), "--synsets", str(synsets))
+        assert code == 1
+        assert err.endswith(": line 14: unparseable component\n")
+
     def test_usage_error_is_exit_1(self, capsys):
         code, _, err = run(capsys, "analyze", "--synsets", FIXTURE_SYNSETS)
         assert code == 1

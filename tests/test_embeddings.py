@@ -415,6 +415,231 @@ def test_text_loader_matches_a_per_line_float_reference(
     assert model.vectors.tobytes() == expected.vectors.tobytes()
 
 
+KEY_ROWS = _BLOCK_ROWS + 100
+KEPT_ROW = _BLOCK_ROWS + 50
+UNUSED_ROW = _BLOCK_ROWS + 37
+KEYS = frozenset({"w3", f"w{KEPT_ROW}", "absent"})
+
+
+def write_damaged(path, binary, damage=None, row=UNUSED_ROW):
+    """A ``KEY_ROWS``x3 model, text or binary, with one damaged row (the
+    final one for "truncated")."""
+    raw = np.random.default_rng(93).standard_normal((KEY_ROWS, 3))
+    words = [f"w{i}".encode() for i in range(KEY_ROWS)]
+    if damage == "nan":
+        raw[row, 1] = np.nan
+    elif damage == "zero":
+        raw[row] = 0.0
+    elif damage == "duplicate":
+        words[row] = words[row - 1]
+    elif damage == "utf8":
+        words[row] = b"w\xff"
+    if binary:
+        entries = [w + b" " + r.astype("<f4").tobytes() + b"\n" for w, r in zip(words, raw)]
+    else:
+        entries = [
+            w + b" " + " ".join(repr(float(x)) for x in r).encode() + b"\n"
+            for w, r in zip(words, raw)
+        ]
+    if damage == "unparseable":
+        entries[row] = words[row] + b" 1 one 1\n"
+    elif damage == "columns":
+        entries[row] = words[row] + b" 1 1\n"
+    elif damage == "truncated":
+        entries[-1] = entries[-1][:-5] if binary else b""
+    path.write_bytes(f"{KEY_ROWS} 3\n".encode() + b"".join(entries))
+    return path
+
+
+def model_file(tmp_path, binary, name="m"):
+    return tmp_path / (f"{name}.bin" if binary else f"{name}.txt")
+
+
+def loader_for(binary):
+    return load_binary_model if binary else load_text_model
+
+
+FORMATS = pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+
+
+def damages(*names, text_only=()):
+    """(binary, damage) parameters: every damage for text, and those a
+    binary entry can hold for binary."""
+    return pytest.mark.parametrize("binary, damage", [
+        pytest.param(binary, name, id=f"{'binary' if binary else 'text'}-{name}")
+        for binary in (False, True)
+        for name in names + text_only
+        if not (binary and name in text_only)
+    ])
+
+
+class TestKeys:
+    """A load limited to a key set checks every row's shape, but parses,
+    checks and keeps only the rows whose token is a key."""
+
+    @damages("nan", "zero", text_only=("unparseable",))
+    def test_component_damage_in_an_unused_row_loads(self, tmp_path, binary, damage):
+        load = loader_for(binary)
+        path = write_damaged(model_file(tmp_path, binary), binary, damage)
+        with pytest.raises(ModelFormatError):
+            load(path)
+        model = load(path, keys=KEYS)
+        clean = load(write_damaged(model_file(tmp_path, binary, "clean"), binary))
+        assert model.words == ("w3", f"w{KEPT_ROW}")
+        assert model.vocab_size == len(model) == 2
+        kept = clean.vectors[[clean.index[w] for w in model.words]]
+        assert model.vectors.tobytes() == kept.tobytes()
+
+    @damages("nan", "zero", text_only=("unparseable",))
+    def test_component_damage_in_a_kept_row_fails_as_a_full_load(self, tmp_path, binary, damage):
+        message = {
+            "nan": f"non-finite component in row {KEPT_ROW}$",
+            "zero": f"zero-norm or overflowing vector in row {KEPT_ROW} ",
+            "unparseable": f": line {KEPT_ROW + 2}: unparseable component$",
+        }[damage]
+        load = loader_for(binary)
+        path = write_damaged(model_file(tmp_path, binary), binary, damage, row=KEPT_ROW)
+        with pytest.raises(ModelFormatError, match=message) as full:
+            load(path)
+        with pytest.raises(ModelFormatError) as keyed:
+            load(path, keys=KEYS)
+        assert str(keyed.value) == str(full.value)
+
+    @damages("duplicate", "utf8", "truncated", text_only=("columns",))
+    def test_shape_damage_in_an_unused_row_still_fails(self, tmp_path, binary, damage):
+        load = loader_for(binary)
+        path = write_damaged(model_file(tmp_path, binary), binary, damage)
+        with pytest.raises(ModelFormatError) as full:
+            load(path)
+        with pytest.raises(ModelFormatError) as keyed:
+            load(path, keys=KEYS)
+        assert str(keyed.value) == str(full.value)
+
+    def test_an_error_in_a_kept_line_comes_before_a_later_shape_error(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("3 2\na 1 one\nb 1 1\nc 1\n", encoding="utf-8")
+        for keys in (None, {"a"}):
+            with pytest.raises(ModelFormatError, match=": line 2: unparseable component$"):
+                load_text_model(path, keys=keys)
+        with pytest.raises(ModelFormatError, match=": line 4: expected token plus 2"):
+            load_text_model(path, keys={"b"})
+
+    @FORMATS
+    def test_no_key_in_the_model_loads_an_empty_model(self, tmp_path, binary):
+        path = write_damaged(model_file(tmp_path, binary), binary)
+        model = loader_for(binary)(path, keys={"absent"})
+        assert model.words == () and model.vectors.shape == (0, 3)
+
+
+def repaired(lines, keys, dimension):
+    """Text lines with every well-shaped line whose token is not a key given
+    valid components: a key-filtered load must read the lines as they are
+    exactly as a full load reads these."""
+    out = []
+    for line in lines:
+        try:
+            stripped = line.decode("utf-8").rstrip()
+        except UnicodeDecodeError:
+            out.append(line)
+            continue
+        token = stripped.split(" ")[0]
+        if stripped.count(" ") == dimension and token not in keys:
+            line = (token + " 1" * dimension + "\n").encode()
+        out.append(line)
+    return out
+
+
+def repaired_entries(entries, keys, dimension):
+    """``repaired`` for binary (token, components) entries."""
+    out = []
+    for token, components in entries:
+        try:
+            unused = token.decode("utf-8") not in keys
+        except UnicodeDecodeError:
+            unused = False
+        out.append((token, np.ones(dimension, "<f4").tobytes() if unused else components))
+    return out
+
+
+BINARY_COMPONENTS = [np.nan, np.inf, 0.0, 1e30, -2.5]
+
+
+@FORMATS
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=40, deadline=None)
+@given(
+    dimension=st.integers(1, 4),
+    rows=st.sampled_from([1, 5, _BLOCK_ROWS + 3]),
+    seed=st.integers(0, 2**31 - 1),
+    data=st.data(),
+)
+def test_key_filtered_load_matches_the_full_load_on_the_kept_rows(
+    tmp_path_factory, binary, dimension, rows, seed, data
+):
+    """The words and vectors of a full load that are keys, in file order and
+    bit-identical, or the same ModelFormatError, whenever the failure lies in
+    a kept row or in any row's shape.  Damage in other rows' components is
+    taken out of the full load's file ("repaired"), since the key-filtered
+    load never parses it."""
+    raw = np.random.default_rng(seed).standard_normal((rows, dimension))
+    tokens = [f"f{i}".encode() for i in range(rows)]
+    for _ in range(data.draw(st.integers(0, 2), label="odd tokens")):
+        position = data.draw(st.integers(0, rows - 1), label="token position")
+        tokens[position] = data.draw(
+            st.sampled_from([b"f0", b"f1", b"a#", b'"b', b"w\xff"]), label="token"
+        )
+    if binary:
+        components = [r.astype("<f4").tobytes() for r in raw]
+        for _ in range(data.draw(st.integers(0, 4), label="odd rows")):
+            position = data.draw(st.integers(0, rows - 1), label="position")
+            values = data.draw(st.lists(st.sampled_from(BINARY_COMPONENTS),
+                                        min_size=dimension, max_size=dimension))
+            components[position] = np.array(values, "<f4").tobytes()
+        entries = list(zip(tokens, components))
+    else:
+        lines = [" ".join(repr(float(x)) for x in r) for r in raw]
+        for _ in range(data.draw(st.integers(0, 4), label="odd lines")):
+            position = data.draw(st.integers(0, rows - 1), label="position")
+            width = data.draw(st.sampled_from([dimension] * 4 + [dimension - 1, dimension + 1]))
+            fields = data.draw(st.lists(FIELDS, min_size=width, max_size=width))
+            lines[position] = " ".join(fields) + data.draw(st.sampled_from(LINE_ENDS))
+        lines = [t + b" " + line.encode() + b"\n" for t, line in zip(tokens, lines)]
+    words = [t.decode() for t in tokens if b"\xff" not in t] + ["absent"]
+    if data.draw(st.booleans(), label="every token a key"):
+        keys = set(words)
+    else:
+        keys = set(data.draw(st.lists(st.sampled_from(words), max_size=8), label="keys"))
+    declared_extra = data.draw(st.sampled_from([0, 0, 0, 1]), label="declared extra")
+    cut = data.draw(st.sampled_from([0, 0, 0, 3]), label="bytes cut") if binary else 0
+
+    def blob(rows_bytes):
+        content = f"{rows + declared_extra} {dimension}\n".encode() + b"".join(rows_bytes)
+        return content[: len(content) - cut]
+
+    if binary:
+        original = blob(t + b" " + c + b"\n" for t, c in entries)
+        reference = blob(t + b" " + c + b"\n" for t, c in repaired_entries(entries, keys, dimension))
+    else:
+        original, reference = blob(lines), blob(repaired(lines, keys, dimension))
+    # one path, so that messages name the same file
+    path = model_file(tmp_path_factory.mktemp("keys"), binary)
+    load = loader_for(binary)
+    path.write_bytes(reference)
+    try:
+        full = load(path)
+    except ModelFormatError as exc:
+        path.write_bytes(original)
+        with pytest.raises(ModelFormatError) as raised:
+            load(path, keys=keys)
+        assert str(raised.value) == str(exc)
+        return
+    path.write_bytes(original)
+    model = load(path, keys=keys)
+    kept = [i for i, word in enumerate(full.words) if word in keys]
+    assert model.words == tuple(full.words[i] for i in kept)
+    assert model.vectors.tobytes() == full.vectors[kept].tobytes()
+
+
 class TestGzipDamage:
     """A damaged gzip stream is a ModelFormatError for both loaders."""
 

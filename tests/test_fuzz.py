@@ -20,14 +20,14 @@ from synth import make_model, save_binary_model, save_text_model
 
 FUZZ = settings(max_examples=40, deadline=None)
 LOADERS = {"txt": load_text_model, "bin": load_binary_model}
+WORDS = ["бой_NOUN", "битва_NOUN", "сражение_NOUN", "battle", "fight"]
 
 
 @pytest.fixture(scope="module")
 def originals(tmp_path_factory):
     """The undamaged bytes of each input kind, and a directory to write to."""
     root = tmp_path_factory.mktemp("fuzz")
-    words = ["бой_NOUN", "битва_NOUN", "сражение_NOUN", "battle", "fight"]
-    model = make_model(words, np.random.default_rng(0).standard_normal((5, 4)))
+    model = make_model(WORDS, np.random.default_rng(0).standard_normal((5, 4)))
     save_text_model(model, root / "m.txt")
     save_binary_model(model, root / "m.bin")
     blobs = {kind: (root / f"m.{kind}").read_bytes() for kind in LOADERS}
@@ -57,8 +57,9 @@ def test_damaged_model_loads_or_raises_model_format_error(originals, kind, data)
     root, blobs = originals
     path = root / f"damaged.{kind}"
     path.write_bytes(damage(data, blobs[kind]))
+    keys = data.draw(st.none() | st.sets(st.sampled_from(WORDS + ["absent"])), label="keys")
     try:
-        LOADERS[kind](path)
+        LOADERS[kind](path, keys=keys)
     except ModelFormatError:
         pass
 

@@ -26,7 +26,7 @@ from synth import make_synset, partition_row, random_synset, synset_rows, unit_r
 def word_attributes(syn, focus, eps=DEFAULT_EPS, **kwargs):
     """One word's attributes, summed from its partition_outcomes table."""
     table = partition_outcomes(syn, focus, eps, **kwargs)
-    return geometry._attributes(syn.tokens[focus], table, eps)
+    return geometry.word_attributes(syn.tokens[focus], table, eps)
 
 
 def brute_force_masks(m):
@@ -440,7 +440,7 @@ class TestSubsetNormEngine:
             by_token = {w.token: w for w in analyze_synset(syn).words}
             for focus, token in enumerate(syn.tokens):
                 exact = geometry._partition_table(syn, focus, DEFAULT_EPS)
-                want = geometry._attributes(token, exact, DEFAULT_EPS)
+                want = geometry.word_attributes(token, exact, DEFAULT_EPS)
                 got = by_token[token]
                 assert got.rank_doubled == want.rank_doubled
                 assert got.in_interior == want.in_interior

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from synsetgeom import (
+    EmbeddingModel,
     OovPolicy,
     RawSynset,
     ResolutionError,
     SynsetParseError,
+    candidate_keys,
     parse_synsets,
     resolve,
 )
@@ -278,3 +280,29 @@ class TestResolve:
     def test_duplicate_suffixes_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             OovPolicy(tag_suffixes=("_A", "_A"))
+
+
+class TestCandidateKeys:
+    SYNSETS = [
+        RawSynset("a", None, ("MIXED", "upper", "замечательно", "nope")),
+        RawSynset("b", None, ("бой", "битва", "бой_NOUN", "сражение")),
+    ]
+
+    def test_every_form_resolve_can_try(self):
+        policy = OovPolicy(tag_suffixes=("_NOUN",), lowercase_fallback=True)
+        assert candidate_keys([RawSynset("s", None, ("Бой", "x"))], policy) == {
+            "Бой", "Бой_NOUN", "бой", "бой_NOUN", "x", "x_NOUN"
+        }
+
+    @pytest.mark.parametrize("policy", [
+        OovPolicy(),
+        OovPolicy(mode="skip-synset"),
+        OovPolicy(tag_suffixes=()),
+        OovPolicy(lowercase_fallback=True),
+    ])
+    def test_the_candidate_rows_resolve_as_the_whole_model(self, model, policy):
+        keys = candidate_keys(self.SYNSETS, policy)
+        rows = [i for i, word in enumerate(model.words) if word in keys]
+        kept = EmbeddingModel([model.words[i] for i in rows], model.vectors[rows])
+        for raw in self.SYNSETS:
+            assert resolve(raw, kept, policy) == resolve(raw, model, policy)
