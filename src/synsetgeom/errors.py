@@ -15,7 +15,8 @@ class DegenerateGeometryError(SynsetGeomError):
 
 
 class SynsetSizeError(SynsetGeomError):
-    """A synset is too small (< 3 words) or exceeds the configured size cap."""
+    """A synset is too small (< 3 words), exceeds the configured size cap,
+    or would need tables above the memory budget."""
 
 
 class SynsetParseError(SynsetGeomError):

@@ -16,8 +16,8 @@ are stored exactly as doubled integers in {-2..2}; word rank accordingly as
 ``rank_doubled``.  This keeps the interior/rank equivalence an exact integer
 comparison instead of a float one.
 
-One engine with an exact fallback
----------------------------------
+One engine
+----------
 Every per-word table, for ``analyze_synset`` and for ``partition_outcomes``
 alike, comes from ``_word_table``, which reads it from one subset-norm table
 of the synset.  Every similarity the method needs is a function of the
@@ -30,14 +30,14 @@ Gram matrix in ``O(2**n)`` additions, and each word then reads its
 of the vector dimension, and the working set stays under ``80 * 2**n``
 bytes (3.4 MB measured at n=16).
 
-The polarization identity loses precision when a block nearly cancels, so a
-word with any block below ``GRAM_MIN_BLOCK_Q`` is rescored on the vector
-path, ``_partition_table``: the block sums themselves, normalized and
-compared, in ``O(2**n * dim)`` time and under ``14 * dim * 2**n`` bytes
-per word.  It is the one that raises ``DegenerateGeometryError`` with the
-offending partition mask.  Before either path allocates, it estimates its
-working set from those bounds and raises ``SynsetSizeError`` if that
-exceeds ``MEMORY_BUDGET``.
+The polarization identity loses precision when a block nearly cancels, so
+the splits with any block below ``GRAM_MIN_BLOCK_Q`` are rescored from their
+block sums, normalized and compared, in ``O(n * dim)`` time and memory per
+split.  Only those splits are rescored, and the rescore is the one that
+raises ``DegenerateGeometryError`` with the offending partition mask (a
+zero block always falls below the threshold).  Before the subset-norm table
+or a rescore allocates, its working set is estimated and ``SynsetSizeError``
+raised if that exceeds ``MEMORY_BUDGET``.
 
 Everything here is a pure function of its inputs; distinct synsets can be
 analyzed concurrently against a shared model.
@@ -60,7 +60,8 @@ DEFAULT_MAX_SYNSET_SIZE = 16
 # 2 and 3 dimensions it stayed below 6e-12 for q >= 1e-4 but reached 2e-10
 # near 1e-6, against the 1e-9 the oracle allows.
 GRAM_MIN_BLOCK_Q = 1e-4
-# Bytes one partition table may take before the synset is refused.
+# Bytes the subset-norm table or one word's rescore may take before the
+# synset is refused.
 MEMORY_BUDGET = 1 << 30
 
 
@@ -217,66 +218,6 @@ def _outcome_table(masks, sim, sim1, sim2, eps: float) -> PartitionTable:
     return PartitionTable(masks, sim, sim1, sim2, r_doubled, d1 + d2)
 
 
-def _partition_table(synset: ResolvedSynset, focus: int, eps: float) -> PartitionTable:
-    """All canonical-partition outcomes for one focus word, from the block
-    vectors themselves (the exact fallback of ``_word_table``).
-
-    Block sums are built once via an incremental subset-sum table over the
-    non-anchor remaining words, so the whole table costs O(2**n * dim)
-    instead of O(n * 2**n * dim).
-    """
-    vecs = synset.vectors
-    n, dim = vecs.shape
-    # the block-sum arrays and the temporaries of normalizing and comparing them
-    _check_budget(synset, (56 * dim) << (n - 2), "vector-path table")
-    v = vecs[focus]
-    rest = np.delete(vecs, focus, axis=0)
-    m = n - 1
-    count = (1 << (m - 1)) - 1
-
-    # sums[k] = sum of rest[j+1] over the set bits j of k
-    sums = np.zeros((1 << (m - 1), dim))
-    for j in range(m - 1):
-        lo = 1 << j
-        sums[lo : 2 * lo] = sums[:lo] + rest[j + 1]
-
-    # canonical block 1 always contains rest[0]; k == count would empty block 2
-    s1 = rest[0] + sums[:count]
-    del sums
-    s2 = rest.sum(axis=0) - s1
-    s1v = s1 + v
-    s2v = s2 + v
-    masks = enumerate_partitions(m)
-
-    def _normalize(block, label):
-        # in place: all four sum arrays are fully formed above this point
-        nrm = np.linalg.norm(block, axis=1)
-        bad = np.nonzero(nrm <= DEGENERATE_NORM)[0]
-        if bad.size:
-            raise DegenerateGeometryError(
-                f"synset {synset.id!r}, focus {synset.tokens[focus]!r}, "
-                f"partition mask {int(masks[bad[0]]):#b}: block {label} sums "
-                "to zero, normalized mean undefined"
-            )
-        block /= nrm[:, None]
-        return block
-
-    m1 = _normalize(s1, "S1")
-    m2 = _normalize(s2, "S2")
-    m1v = _normalize(s1v, "S1+v")
-    m2v = _normalize(s2v, "S2+v")
-
-    def _chordal_sim(a, b):
-        # for unit vectors 1 - |a - b|**2 / 2 is their inner product; this
-        # form saturates at exactly 1.0 when the directions coincide
-        d = a - b
-        return np.clip(1.0 - 0.5 * np.einsum("ij,ij->i", d, d), -1.0, 1.0)
-
-    return _outcome_table(
-        masks, _chordal_sim(m1, m2), _chordal_sim(m1v, m2), _chordal_sim(m1, m2v), eps
-    )
-
-
 def _subset_norms(synset: ResolvedSynset) -> np.ndarray:
     """``q[T] = |sum of the vectors in T|**2`` for every bitmask T over the
     synset's words, up to one common scale, in O(2**n) additions.
@@ -308,33 +249,74 @@ def _subset_norms(synset: ResolvedSynset) -> np.ndarray:
     return q[index]
 
 
+def _rescore(
+    synset: ResolvedSynset, focus: int, masks: np.ndarray, s1: np.ndarray, s2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sim``, ``sim1`` and ``sim2`` of the splits ``masks`` of one focus
+    word from their block sums, the blocks given as synset masks ``s1`` and
+    ``s2``.  The first split with a zero block raises
+    ``DegenerateGeometryError``, S1 blocks checked first, then S2, S1+v and
+    S2+v."""
+    vecs = synset.vectors
+    n, dim = vecs.shape
+    # the bit matrices, the four block sums and the temporaries of
+    # normalizing and comparing them
+    _check_budget(synset, masks.size * 8 * (3 * n + 6 * dim), "rescore of cancelling splits")
+    words = np.arange(n)
+    b1, b2 = (((s[:, None] >> words) & 1).astype(np.float64) @ vecs for s in (s1, s2))
+    blocks = {"S1": b1, "S2": b2, "S1+v": b1 + vecs[focus], "S2+v": b2 + vecs[focus]}
+    for label, block in blocks.items():
+        # in place: all four sum arrays are fully formed above this point
+        nrm = np.linalg.norm(block, axis=1)
+        bad = np.nonzero(nrm <= DEGENERATE_NORM)[0]
+        if bad.size:
+            raise DegenerateGeometryError(
+                f"synset {synset.id!r}, focus {synset.tokens[focus]!r}, "
+                f"partition mask {int(masks[bad[0]]):#b}: block {label} sums "
+                "to zero, normalized mean undefined"
+            )
+        block /= nrm[:, None]
+    m1, m2, m1v, m2v = blocks.values()
+
+    def _chordal_sim(a, b):
+        # for unit vectors 1 - |a - b|**2 / 2 is their inner product; this
+        # form saturates at exactly 1.0 when the directions coincide
+        d = a - b
+        return np.clip(1.0 - 0.5 * np.einsum("ij,ij->i", d, d), -1.0, 1.0)
+
+    return _chordal_sim(m1, m2), _chordal_sim(m1v, m2), _chordal_sim(m1, m2v)
+
+
 def _word_table(
     synset: ResolvedSynset, q: np.ndarray, focus: int, masks: np.ndarray, eps: float
 ) -> PartitionTable:
     """One word's partition table, read from the synset's subset norms
-    ``q``; a word with a block too close to cancelling to trust is rescored
-    on the vector path."""
+    ``q``; the splits with a block too close to cancelling to trust are
+    rescored from their block sums."""
     bit = 1 << focus
     full = (1 << synset.n) - 1
     low = masks & (bit - 1)
     s1 = low | ((masks ^ low) << 1)  # remaining-word masks -> synset masks
     s2 = (full ^ bit) ^ s1
     q1, q2, q1v, q2v = q[s1], q[s2], q[s1 | bit], q[s2 | bit]
-    if min(q1.min(), q2.min(), q1v.min(), q2v.min()) < GRAM_MIN_BLOCK_Q:
-        return _partition_table(synset, focus, eps)
+    near = np.nonzero(np.minimum(np.minimum(q1, q2), np.minimum(q1v, q2v)) < GRAM_MIN_BLOCK_Q)[0]
 
     def _cos(q_ab, qa, qb):
         # <a, b> = (q(a + b) - q(a) - q(b)) / 2 for disjoint blocks a, b
         inner = (q_ab - qa - qb) / 2.0
         return np.clip(inner / (np.sqrt(qa) * np.sqrt(qb)), -1.0, 1.0)
 
-    return _outcome_table(
-        masks,
-        _cos(q[full ^ bit], q1, q2),
-        _cos(q[full], q1v, q2),
-        _cos(q[full], q1, q2v),
-        eps,
-    )
+    # a nearly cancelling block's q can round to zero or below it; the
+    # splits holding one are rescored, so their nan or inf is overwritten
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sim = _cos(q[full ^ bit], q1, q2)
+        sim1 = _cos(q[full], q1v, q2)
+        sim2 = _cos(q[full], q1, q2v)
+    if near.size:
+        sim[near], sim1[near], sim2[near] = _rescore(
+            synset, focus, masks[near], s1[near], s2[near]
+        )
+    return _outcome_table(masks, sim, sim1, sim2, eps)
 
 
 def word_attributes(token: str, table: PartitionTable, eps: float) -> WordAttributes:
@@ -377,9 +359,9 @@ def analyze_synset(
 ) -> SynsetReport:
     """Attributes for every word, sorted into the report order.
 
-    Every word is scored from one subset-norm table; a word with a nearly
-    cancelling block is rescored on the vector path (see the module
-    docstring).
+    Every word is scored from one subset-norm table; the splits with a
+    nearly cancelling block are rescored from their block sums (see the
+    module docstring).
     """
     _check_size(synset, max_size)
     q = _subset_norms(synset)

@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from synsetgeom import EmbeddingModel, ResolvedSynset, partition_outcomes
+from synsetgeom import (
+    DegenerateGeometryError,
+    EmbeddingModel,
+    ResolvedSynset,
+    enumerate_partitions,
+    partition_outcomes,
+)
+from synsetgeom import geometry
+from synsetgeom.embeddings import DEGENERATE_NORM
 
 
 def unit_rows(rng, n, dim):
@@ -40,6 +48,60 @@ def partition_row(synset, focus, mask):
     table = partition_outcomes(synset, focus)
     (i,) = np.nonzero(table.masks == mask)[0]
     return tuple(column[i].item() for column in table[1:])
+
+
+def vector_table(synset, focus, eps):
+    """The whole partition table of one focus word from its block vectors,
+    summed through a subset-sum table rather than the engine's subset norms
+    or its per-split rescore: the reference the engine is compared with.
+    S2 is the remaining words' sum less S1, which can be off by a few 1e-10
+    where S2 nearly cancels.  Costs O(2**n * dim) time and memory, with no
+    budget."""
+    vecs = synset.vectors
+    dim = vecs.shape[1]
+    v = vecs[focus]
+    rest = np.delete(vecs, focus, axis=0)
+    m = synset.n - 1
+    count = (1 << (m - 1)) - 1
+
+    # sums[k] = sum of rest[j+1] over the set bits j of k
+    sums = np.zeros((1 << (m - 1), dim))
+    for j in range(m - 1):
+        lo = 1 << j
+        sums[lo : 2 * lo] = sums[:lo] + rest[j + 1]
+
+    # canonical block 1 always contains rest[0]; k == count would empty block 2
+    s1 = rest[0] + sums[:count]
+    s2 = rest.sum(axis=0) - s1
+    s1v = s1 + v
+    s2v = s2 + v
+    masks = enumerate_partitions(m)
+
+    def _normalize(block, label):
+        # in place: all four sum arrays are fully formed above this point
+        nrm = np.linalg.norm(block, axis=1)
+        bad = np.nonzero(nrm <= DEGENERATE_NORM)[0]
+        if bad.size:
+            raise DegenerateGeometryError(
+                f"synset {synset.id!r}, focus {synset.tokens[focus]!r}, "
+                f"partition mask {int(masks[bad[0]]):#b}: block {label} sums "
+                "to zero, normalized mean undefined"
+            )
+        block /= nrm[:, None]
+        return block
+
+    m1 = _normalize(s1, "S1")
+    m2 = _normalize(s2, "S2")
+    m1v = _normalize(s1v, "S1+v")
+    m2v = _normalize(s2v, "S2+v")
+
+    def _chordal_sim(a, b):
+        d = a - b
+        return np.clip(1.0 - 0.5 * np.einsum("ij,ij->i", d, d), -1.0, 1.0)
+
+    return geometry._outcome_table(
+        masks, _chordal_sim(m1, m2), _chordal_sim(m1v, m2), _chordal_sim(m1, m2v), eps
+    )
 
 
 def block_sim(block1, block2):

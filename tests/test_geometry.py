@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from synsetgeom import (
     DEFAULT_EPS,
@@ -20,7 +20,14 @@ from synsetgeom import (
 from synsetgeom import geometry
 
 import oracle
-from synth import make_synset, partition_row, random_synset, synset_rows, unit_rows
+from synth import (
+    make_synset,
+    partition_row,
+    random_synset,
+    synset_rows,
+    unit_rows,
+    vector_table,
+)
 
 
 def word_attributes(syn, focus, eps=DEFAULT_EPS, **kwargs):
@@ -101,13 +108,13 @@ class TestPartitionOutcome:
         assert delta == 0.0
 
     def test_matches_oracle_on_random_synsets(self):
-        # the vector path, row by row, against the oracle
+        # the reference vector table, row by row, against the oracle
         rng = np.random.default_rng(42)
         for _ in range(30):
             syn = random_synset(rng)
             rows = synset_rows(syn)
             for focus in range(syn.n):
-                table = geometry._partition_table(syn, focus, DEFAULT_EPS)
+                table = vector_table(syn, focus, DEFAULT_EPS)
                 for mask, *got in zip(*(column.tolist() for column in table)):
                     exp = oracle.partition_outcome(rows, focus, mask)
                     assert got[3] == exp[3]
@@ -129,7 +136,7 @@ class TestPartitionOutcome:
         focus = 2
         v = rows[focus]
         remaining = [row for i, row in enumerate(rows) if i != focus]
-        table = geometry._partition_table(syn, focus, DEFAULT_EPS)
+        table = vector_table(syn, focus, DEFAULT_EPS)
         for mask, sim, sim1, sim2, r_doubled, delta in zip(*(c.tolist() for c in table)):
             s1 = [remaining[j] for j in range(len(remaining)) if mask >> j & 1]
             s2 = [remaining[j] for j in range(len(remaining)) if not mask >> j & 1]
@@ -278,12 +285,12 @@ class TestInteriorMembership:
 
 class TestPartitionOutcomes:
     def test_matches_single_partition_path(self):
-        # the subset-norm rows against the vector path's, row by row
+        # the engine's rows against the reference vector table's, row by row
         rng = np.random.default_rng(31)
         syn = random_synset(rng, n=6, dim=5)
         for focus in range(syn.n):
             table = partition_outcomes(syn, focus)
-            exact = geometry._partition_table(syn, focus, DEFAULT_EPS)
+            exact = vector_table(syn, focus, DEFAULT_EPS)
             assert len(table.masks) == 2 ** (syn.n - 2) - 1
             assert table.masks.tolist() == exact.masks.tolist()
             assert table.r_doubled.tolist() == exact.r_doubled.tolist()
@@ -367,17 +374,18 @@ class TestAnalyzeSynset:
             analyze_synset(syn)
 
 
-def _vector_path_foci(monkeypatch):
-    """Record the focus of every vector-path table built from here on."""
-    foci = []
-    exact = geometry._partition_table
+def _rescored(monkeypatch):
+    """Record (focus, masks) of every rescore of nearly cancelling splits
+    made from here on."""
+    calls = []
+    rescore = geometry._rescore
 
-    def recording(synset, focus, eps):
-        foci.append(focus)
-        return exact(synset, focus, eps)
+    def recording(synset, focus, masks, s1, s2):
+        calls.append((focus, masks.tolist()))
+        return rescore(synset, focus, masks, s1, s2)
 
-    monkeypatch.setattr(geometry, "_partition_table", recording)
-    return foci
+    monkeypatch.setattr(geometry, "_rescore", recording)
+    return calls
 
 
 def _smallest_block_q(rows):
@@ -391,8 +399,9 @@ def _smallest_block_q(rows):
 
 
 class TestSubsetNormEngine:
-    """analyze_synset reads every word from one subset-norm table and falls
-    back to the vector path for a word whose blocks nearly cancel."""
+    """analyze_synset reads every word from one subset-norm table and
+    rescores from their block sums only the splits whose blocks nearly
+    cancel."""
 
     def assert_matches_oracle(self, syn):
         report = analyze_synset(syn)
@@ -413,17 +422,17 @@ class TestSubsetNormEngine:
         rows[2] = -rows[1] + 1e-3 * tilt
         syn = make_synset([f"w{i}" for i in range(6)], rows)
         assert _smallest_block_q(synset_rows(syn)) < geometry.GRAM_MIN_BLOCK_Q
-        foci = _vector_path_foci(monkeypatch)
+        rescores = _rescored(monkeypatch)
         self.assert_matches_oracle(syn)
-        assert foci, "no word took the vector path"
+        assert rescores, "no split was rescored"
 
     def test_well_conditioned_synset_reads_the_table(self, monkeypatch):
         rng = np.random.default_rng(4200)
         syn = random_synset(rng, n=7, dim=50)
         assert _smallest_block_q(synset_rows(syn)) > geometry.GRAM_MIN_BLOCK_Q
-        foci = _vector_path_foci(monkeypatch)
+        rescores = _rescored(monkeypatch)
         self.assert_matches_oracle(syn)
-        assert foci == []
+        assert rescores == []
 
     def test_degenerate_block_still_raises_with_mask(self):
         syn = make_synset(
@@ -439,13 +448,66 @@ class TestSubsetNormEngine:
             syn = random_synset(rng, n_range=(3, 10), dim_range=(2, 40))
             by_token = {w.token: w for w in analyze_synset(syn).words}
             for focus, token in enumerate(syn.tokens):
-                exact = geometry._partition_table(syn, focus, DEFAULT_EPS)
+                exact = vector_table(syn, focus, DEFAULT_EPS)
                 want = geometry.word_attributes(token, exact, DEFAULT_EPS)
                 got = by_token[token]
                 assert got.rank_doubled == want.rank_doubled
                 assert got.in_interior == want.in_interior
                 assert got.partition_count == want.partition_count
                 assert got.centrality == pytest.approx(want.centrality, abs=1e-9)
+
+    def test_near_cancelling_synset_above_n16_is_scored(self, monkeypatch):
+        # two nearly cancelling pairs at dim 300: a whole-word vector table
+        # would take over 1 GiB at n=18, the rescored splits tens of KiB
+        n, dim = 18, 300
+        rng = np.random.default_rng(4500)
+        rows = unit_rows(rng, n, dim).astype(np.float64)
+        rows[1] = -rows[0] + 1e-3 * rows[4]
+        rows[3] = -rows[2] + 1e-3 * rows[5]
+        syn = make_synset([f"w{i}" for i in range(n)], rows)
+        rescores = _rescored(monkeypatch)
+        assert len(analyze_synset(syn, max_size=n).words) == n
+        assert sorted(focus for focus, _ in rescores) == list(range(n))
+        focus, masks = rescores[6]
+        table = partition_outcomes(syn, focus, max_size=n)
+        at = {mask: i for i, mask in enumerate(table.masks.tolist())}
+        assert len(masks) == 3
+        for mask in masks:
+            got = [column[at[mask]].item() for column in table[1:]]
+            exp = oracle.partition_outcome(synset_rows(syn), focus, mask)
+            assert got[3] == exp[3]
+            for g, want in zip(got[:3] + got[4:], exp[:3] + exp[4:]):
+                assert g == pytest.approx(want, abs=1e-9)
+
+    def test_rescore_budget_refuses_before_allocating(self, monkeypatch):
+        # a 1 MiB budget fits the subset-norm table and the block sums of
+        # one nearly cancelling split per word, but not those of the dozens
+        # of splits that six nearly cancelling pairs flag
+        n, dim = 12, 4000
+        tokens = [f"w{i}" for i in range(n)]
+        rng = np.random.default_rng(4600)
+        rows = unit_rows(rng, n, dim).astype(np.float64)
+        one_pair, six_pairs = rows.copy(), rows.copy()
+        one_pair[1] = -rows[0] + 1e-3 * rows[2]
+        six_pairs[1::2] = -rows[::2] + 1e-3 * np.roll(rows[::2], 1, axis=0)
+        monkeypatch.setattr(geometry, "MEMORY_BUDGET", 1 << 20)
+        for scored in (rows, one_pair):
+            assert len(analyze_synset(make_synset(tokens, scored)).words) == n
+        near = make_synset(tokens, six_pairs)
+        with pytest.raises(SynsetSizeError, match="budget"):
+            analyze_synset(near)
+        # traced from the table on: sorting the rows for the table peaks
+        # with their dimension, not with the splits
+        q = geometry._subset_norms(near)
+        masks = enumerate_partitions(n - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SynsetSizeError, match="budget"):
+                geometry._word_table(near, q, 0, masks, DEFAULT_EPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_memory_budget_refuses_before_allocating(self):
         rng = np.random.default_rng(4400)
@@ -455,7 +517,6 @@ class TestSubsetNormEngine:
             for call in (
                 lambda: analyze_synset(syn, max_size=64),
                 lambda: partition_outcomes(syn, 0, max_size=64),
-                lambda: geometry._partition_table(syn, 0, DEFAULT_EPS),
             ):
                 with pytest.raises(SynsetSizeError, match="budget"):
                     call()
@@ -596,9 +657,10 @@ def edge_free(table, eps):
 )
 def test_property_engines_agree_at_high_n(n, dim, tilt_exponent, seed):
     """Near-cancelling synsets up to n=16 in 2 and 3 dimensions: the table
-    _word_table reads from the subset norms (falling back below
-    GRAM_MIN_BLOCK_Q) equals the vector path's for every word.  The oracle
-    stops at n=12, so above it this is the only check of the threshold."""
+    _word_table reads from the subset norms (rescoring the splits below
+    GRAM_MIN_BLOCK_Q) equals the reference vector table for every word.  The
+    oracle stops at n=12, so above it this is the only check of the
+    threshold."""
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((n, dim))
     # word 1 is word 0 reversed and tilted: blocks holding both nearly cancel,
@@ -612,7 +674,7 @@ def test_property_engines_agree_at_high_n(n, dim, tilt_exponent, seed):
     masks = enumerate_partitions(n - 1)
     for focus in range(n):
         read = geometry._word_table(synset, q, focus, masks, DEFAULT_EPS)
-        exact = geometry._partition_table(synset, focus, DEFAULT_EPS)
+        exact = vector_table(synset, focus, DEFAULT_EPS)
         for column in ("sim", "sim1", "sim2"):
             np.testing.assert_allclose(
                 getattr(read, column), getattr(exact, column), rtol=0, atol=1e-9
@@ -659,3 +721,33 @@ def test_property_rotation_invariance(n, dim, seed):
             assert after.rank_doubled == word.rank_doubled
             assert after.in_interior == word.in_interior
     assert report.interior - on_edge == moved.interior - on_edge
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 11),
+    dim=st.integers(2, 12),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_property_orthogonal_intruder_ranks_lowest(n, dim, seed):
+    """The paper's claim that rank and the interior single out the words that
+    belong, in a case where it is a theorem: the other words' pairwise inner
+    products are all at least 1e-3 and one word is orthogonal to all of them.
+    Every split then has sim > 0, and joining the intruder to a block A
+    lengthens its sum to sqrt(q(A) + 1) without turning it, which lowers
+    both sim1 and sim2: the intruder has rank -P over its P splits and lies
+    outside the interior.  Float64 rows built directly, as above."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((n, dim))
+    rows[:, 1:] = np.abs(rng.standard_normal((n, dim - 1)))
+    intruder = int(rng.integers(n))
+    rows[intruder] = np.eye(dim)[0]
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    others = np.delete(rows, intruder, axis=0)
+    assume((others @ others.T).min() >= 1e-3)
+    tokens = tuple(f"w{i}" for i in range(n))
+    report = analyze_synset(ResolvedSynset("s", tokens, tokens, rows, n))
+    (word,) = [w for w in report.words if w.token == tokens[intruder]]
+    assert word.rank_doubled == -2 * word.partition_count
+    assert not word.in_interior
+    assert word.token not in report.interior
