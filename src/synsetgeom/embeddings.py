@@ -4,14 +4,13 @@ Every vector is L2-normalized at load time and stored as float32; all
 downstream math is angular, so the original norms carry no information.
 Sums and dot products accumulate in float64.
 
-Both formats share one reader.  It normalizes rows in fixed blocks as they
-fill and joins the float32 blocks once at the end, so a load peaks at about
-twice the float32 matrix it returns.  No array is sized from the header's
-entry count: an overstated count is a truncated file, not an allocation.
-A text block's components are parsed at once by numpy's C reader
-(``np.loadtxt``); any block it refuses is re-read line by line with
-``float()``, so the values, the inputs accepted and the errors are those of
-a line-by-line parse.  Binary entries are read one at a time.
+Both formats share one loop that reads one entry at a time.  It normalizes
+rows in fixed blocks as they fill and joins the float32 blocks once at the
+end, so a load peaks at about twice the float32 matrix it returns.  No
+array is sized from the header's entry count: an overstated count is a
+truncated file, not an allocation.  A kept text line's components are
+parsed with ``float()`` as the line is read, so a kept line that does not
+parse is reported before any later line's error.
 
 A load may be limited to a set of keys, the tokens a run can look up.  Every
 row's shape is still checked (UTF-8, the token plus ``dimension``
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import gzip
-import itertools
 import os
 import zlib
 
@@ -41,9 +39,6 @@ _MAX_HEADER_BYTES = 128
 _MAX_TOKEN_BYTES = 10_000
 _MAX_DEFLATE_RATIO = 1032
 _BLOCK_ROWS = 4096
-# whitespace to str.isspace() and so to loadtxt, which strips it from a
-# field's ends, but not to float(), which refuses it there
-_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 class EmbeddingModel:
@@ -180,19 +175,24 @@ def _open_model(path: str, binary: bool):
 
 def _load(path, binary: bool, keys=None) -> EmbeddingModel:
     path = str(path)
-    read_block = _binary_block if binary else _text_block
+    read_entry = _binary_entry if binary else _text_entry
     with _open_model(path, binary) as fin:
         vocab_size, dimension = _read_header(fin, path, binary)
         words, rows, blocks = [], [], []
         for start in range(0, vocab_size, _BLOCK_ROWS):
-            count = min(_BLOCK_ROWS, vocab_size - start)
-            tokens, kept, raw = read_block(fin, path, start, count, dimension, keys)
-            words += tokens
-            if len(tokens) < count:
-                raise ModelFormatError(
-                    f"{path}: truncated: expected {vocab_size} entries, found {len(words)}"
-                )
-            blocks.append(_normalize_rows(raw, path, kept))
+            raw, kept = np.empty((min(_BLOCK_ROWS, vocab_size - start), dimension)), []
+            for i in range(start, start + len(raw)):
+                entry = read_entry(fin, path, i, dimension, keys)
+                if entry is None:
+                    raise ModelFormatError(
+                        f"{path}: truncated: expected {vocab_size} entries, found {i}"
+                    )
+                token, components = entry
+                words.append(token)
+                if components is not None:
+                    raw[len(kept)] = components
+                    kept.append(i)
+            blocks.append(_normalize_rows(raw[: len(kept)], path, kept))
             rows += kept
             del raw  # before the next block is read
     if keys is not None:
@@ -201,91 +201,33 @@ def _load(path, binary: bool, keys=None) -> EmbeddingModel:
     return EmbeddingModel(words, np.concatenate(blocks))
 
 
-def _binary_block(fin, path: str, start: int, count: int, dimension: int, keys):
-    """The tokens of entries ``start`` onwards (fewer than ``count`` if the
-    file ends first), the entry numbers kept (those whose token is in
-    ``keys``; all without it) and a float64 block of their components.  The
-    other entries' components are read past, not converted."""
-    tokens, kept, raw = [], [], np.empty((count, dimension))
-    for j in range(count):
-        entry = _binary_entry(fin, path, start + j, dimension)
-        if entry is None:
-            break
-        token, components = entry
-        tokens.append(token)
-        if keys is None or token in keys:
-            raw[len(kept)] = np.frombuffer(components, dtype="<f4")
-            kept.append(start + j)
-    return tokens, kept, raw[: len(kept)]
+def _text_entry(fin, path: str, i: int, dimension: int, keys):
+    """Entry ``i``'s token and its components parsed with ``float()``, or
+    None in their place unless ``keys`` is None or holds the token; None if
+    the file ends first.  Without its trailing whitespace a line holds a
+    token and ``dimension`` single-space-separated components."""
+    line = fin.readline()
+    if not line:
+        return None
+    line = line.rstrip()
+    spaces = line.count(" ")
+    if spaces != dimension:
+        raise ModelFormatError(
+            f"{path}: line {i + 2}: expected token plus {dimension} "
+            f"components, found {spaces}"
+        )
+    token = line[: line.index(" ")]
+    if keys is not None and token not in keys:
+        return token, None
+    try:
+        return token, [float(x) for x in line.split(" ")[1:]]
+    except ValueError:
+        raise ModelFormatError(f"{path}: line {i + 2}: unparseable component") from None
 
 
-def _text_block(fin, path: str, start: int, count: int, dimension: int, keys):
-    """``_binary_block`` for the next ``count`` text lines.
-
-    Every line's shape is checked: without its trailing whitespace it holds
-    a token and ``dimension`` single-space-separated components.  Only the
-    kept lines' components are parsed, and an error in a kept line comes
-    before a shape error in a later line, as in a line-by-line parse.
-    """
-    lines = [line.rstrip() for line in itertools.islice(fin, count)]
-    tokens, kept = [], []
-
-    def parse_kept():
-        return _parse_components([lines[i - start] for i in kept], kept, path, dimension)
-
-    for j, line in enumerate(lines):
-        spaces = line.count(" ")
-        if spaces != dimension:
-            parse_kept()  # an error in an earlier kept line comes first
-            raise ModelFormatError(
-                f"{path}: line {start + j + 2}: expected token plus {dimension} "
-                f"components, found {spaces}"
-            )
-        token = line[: line.index(" ")]
-        tokens.append(token)
-        if keys is None or token in keys:
-            kept.append(start + j)
-    return tokens, kept, parse_kept()
-
-
-def _parse_components(lines, entries, path: str, dimension: int) -> np.ndarray:
-    """The float64 components of shape-checked, stripped ``lines`` (entries
-    ``entries``), parsed in one ``np.loadtxt`` call.
-
-    ``loadtxt`` converts each field with ``PyOS_string_to_double``, as
-    ``float()`` does for ASCII input, so on lines without
-    ``_NOT_FLOAT_SPACE`` every field it accepts ``float()`` accepts with the
-    same value.  It skips blank lines and takes any width that is the same
-    on every line, hence the shape check.  Lines it refuses are re-read one
-    by one, which gives the per-line errors and accepts the spellings only
-    ``float()`` takes (``1_0``, non-ASCII digits).
-    """
-    if lines and not any(c in line for line in lines for c in _NOT_FLOAT_SPACE):
-        tails = (line[line.index(" ") + 1 :] for line in lines)
-        try:
-            raw = np.loadtxt(tails, delimiter=" ", comments=None, quotechar=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if raw.shape == (len(lines), dimension):
-                return raw
-    return _parse_lines(lines, entries, path, dimension)
-
-
-def _parse_lines(lines, entries, path: str, dimension: int) -> np.ndarray:
-    """``_parse_components`` with one ``float()`` per component."""
-    raw = np.empty((len(lines), dimension))
-    for r, (line, i) in enumerate(zip(lines, entries)):
-        try:
-            raw[r] = [float(x) for x in line.split(" ")[1:]]
-        except ValueError:
-            raise ModelFormatError(f"{path}: line {i + 2}: unparseable component") from None
-    return raw
-
-
-def _binary_entry(fin, path: str, i: int, dimension: int):
-    """Entry ``i``'s token and raw little-endian float32 bytes; None if the
-    file ends before its token does."""
+def _binary_entry(fin, path: str, i: int, dimension: int, keys):
+    """``_text_entry`` for a binary entry: the kept components are its
+    little-endian float32s; the others are read past, not converted."""
     buf = bytearray()
     while True:
         b = fin.read(1)
@@ -307,7 +249,9 @@ def _binary_entry(fin, path: str, i: int, dimension: int):
         raise ModelFormatError(
             f"{path}: truncated: entry {i} ({token!r}) has incomplete vector data"
         )
-    return token, chunk
+    if keys is not None and token not in keys:
+        return token, None
+    return token, np.frombuffer(chunk, "<f4")
 
 
 def load_text_model(path, keys=None) -> EmbeddingModel:
@@ -316,12 +260,13 @@ def load_text_model(path, keys=None) -> EmbeddingModel:
     Expected layout: a ``<vocab_size> <dimension>`` header line, then one
     ``<token> <c1> ... <c_dim>`` line per word, single-space separated.
     Trailing whitespace, such as the space the original word2vec tool
-    writes after the last component, is ignored.  Rows are L2-normalized
-    on load.
+    writes after the last component, is ignored.  Each component is parsed
+    with ``float()``, and rows are L2-normalized on load.
 
     With ``keys`` (a set of tokens), every line's shape is still checked,
     but only the lines whose token is in ``keys`` are parsed and kept; a
-    model whose damage lies only in other lines' components loads.
+    model whose damage lies only in other lines' components loads.  A full
+    load parses every line, so pass ``keys`` for a large model.
     """
     return _load(path, binary=False, keys=keys)
 

@@ -107,20 +107,6 @@ class ResolvedSynset:
         object.__setattr__(self, "model_keys", keys)
         object.__setattr__(self, "vectors", vectors)
 
-    @classmethod
-    def from_arrays(cls, synset_id, tokens, rows, source_size=None):
-        """Build a synset from raw rows, normalizing each to unit length and
-        storing it as float32, as a model does; each token is its own key."""
-        rows = np.asarray(rows, dtype=np.float64)
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        if np.any(norms <= DEGENERATE_NORM):
-            raise ValueError(f"synset {synset_id!r}: zero-norm row")
-        tokens = tuple(tokens)
-        if source_size is None:
-            source_size = len(tokens)
-        unit = (rows / norms).astype(np.float32)
-        return cls(synset_id, tokens, tokens, unit, source_size)
-
     @property
     def n(self) -> int:
         return len(self.tokens)
@@ -222,17 +208,19 @@ def _subset_norms(synset: ResolvedSynset) -> np.ndarray:
     """``q[T] = |sum of the vectors in T|**2`` for every bitmask T over the
     synset's words, up to one common scale, in O(2**n) additions.
 
-    The sums run over the words sorted by their vectors, so each q[T] is
-    the same float whatever order the synset lists its words in."""
+    The sums run over the words sorted by their vectors' bytes, so each
+    q[T] is the same float whatever order the synset lists its words in;
+    the sort holds one key per word, not one per dimension."""
     n = synset.n
     _check_budget(synset, 80 << n, "subset-norm table")
-    order = np.lexsort(synset.vectors.T[::-1])
+    rows = [row.tobytes() for row in synset.vectors]
+    order = sorted(range(n), key=rows.__getitem__)
     vecs = synset.vectors[order]
     # a repeated vector reads the Gram entries of its first occurrence, so
     # they are bit-identical; a common scale leaves every cosine unchanged
     # and makes a synset of one repeated vector exact
     first: dict[bytes, int] = {}
-    same = [first.setdefault(row.tobytes(), i) for i, row in enumerate(vecs)]
+    same = [first.setdefault(rows[k], i) for i, k in enumerate(order)]
     gram = (vecs @ vecs.T)[np.ix_(same, same)]
     gram /= gram[0, 0]
     q = np.zeros(1 << n)

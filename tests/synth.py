@@ -26,11 +26,14 @@ def random_synset(rng, n=None, dim=None, synset_id="syn", n_range=(3, 8), dim_ra
     if dim is None:
         dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
     tokens = [f"w{i}" for i in range(n)]
-    return ResolvedSynset.from_arrays(synset_id, tokens, unit_rows(rng, n, dim))
+    return make_synset(tokens, unit_rows(rng, n, dim), synset_id)
 
 
 def make_synset(tokens, rows, synset_id="syn"):
-    return ResolvedSynset.from_arrays(synset_id, tokens, np.asarray(rows, dtype=np.float64))
+    """A synset of raw rows normalized and stored as float32, as a model
+    does; each token is its own key."""
+    tokens = tuple(tokens)
+    return ResolvedSynset(synset_id, tokens, tokens, make_model(tokens, rows).vectors, len(tokens))
 
 
 def make_model(words, rows):

@@ -278,7 +278,7 @@ class TestBlocks:
         [
             ("1 1", "expected token plus 3 components, found 2"),
             ("1 one 1", "unparseable component"),
-            ("1 1\x1c 1", "unparseable component"),  # whitespace to loadtxt, not float()
+            ("1 1\x1c 1", "unparseable component"),  # whitespace to str.strip(), not float()
             (None, "expected token plus 3 components, found 0"),  # a blank line
         ],
     )
@@ -371,7 +371,7 @@ def reference_text_load(path):
     return EmbeddingModel(words, (raw / norms).astype(np.float32))
 
 
-# spellings float() and loadtxt may read differently; whitespace ending a line
+# edge-case spellings float() accepts or refuses; whitespace ending a line
 SPELLINGS = ["1_0", "\u0661", "+1", ".5", "2.", "1E2", "nan", "1e400", "-0", "0",
              "1\x1c", "1\u3000", "one", ""]
 LINE_ENDS = ["", " ", "\t", "\u3000"]
@@ -532,21 +532,27 @@ class TestKeys:
 
 
 def repaired(lines, keys, dimension):
-    """Text lines with every well-shaped line whose token is not a key given
-    valid components: a key-filtered load must read the lines as they are
-    exactly as a full load reads these."""
-    out = []
+    """``(originals, repaired)``: the text lines, and the lines with every
+    well-shaped line whose token is not a key given valid components.  A
+    key-filtered load must read the first exactly as a full load reads the
+    second.  Each pair of lines is padded with trailing spaces, which the
+    loader ignores, to one byte length, so that the header's size check
+    sees two files of one size."""
+    originals, out = [], []
     for line in lines:
+        fixed = line
         try:
             stripped = line.decode("utf-8").rstrip()
         except UnicodeDecodeError:
-            out.append(line)
-            continue
-        token = stripped.split(" ")[0]
-        if stripped.count(" ") == dimension and token not in keys:
-            line = (token + " 1" * dimension + "\n").encode()
-        out.append(line)
-    return out
+            pass
+        else:
+            token = stripped.split(" ")[0]
+            if stripped.count(" ") == dimension and token not in keys:
+                fixed = (token + " 1" * dimension + "\n").encode()
+        width = max(len(line), len(fixed)) - 1
+        originals.append(line[:-1].ljust(width) + b"\n")
+        out.append(fixed[:-1].ljust(width) + b"\n")
+    return originals, out
 
 
 def repaired_entries(entries, keys, dimension):
@@ -620,7 +626,8 @@ def test_key_filtered_load_matches_the_full_load_on_the_kept_rows(
         original = blob(t + b" " + c + b"\n" for t, c in entries)
         reference = blob(t + b" " + c + b"\n" for t, c in repaired_entries(entries, keys, dimension))
     else:
-        original, reference = blob(lines), blob(repaired(lines, keys, dimension))
+        originals, fixed = repaired(lines, keys, dimension)
+        original, reference = blob(originals), blob(fixed)
     # one path, so that messages name the same file
     path = model_file(tmp_path_factory.mktemp("keys"), binary)
     load = loader_for(binary)

@@ -509,6 +509,18 @@ class TestSubsetNormEngine:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_subset_norm_table_memory_does_not_grow_per_dimension(self):
+        # a row order with one sort key per dimension peaked at 276 MB here
+        n, dim = 8, 100_000
+        syn = random_synset(np.random.default_rng(4700), n=n, dim=dim)
+        tracemalloc.start()
+        try:
+            geometry._subset_norms(syn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * syn.vectors.nbytes + (80 << n)
+
     def test_memory_budget_refuses_before_allocating(self):
         rng = np.random.default_rng(4400)
         syn = random_synset(rng, n=40, dim=2)
@@ -543,7 +555,7 @@ class TestResolvedSynset:
         with pytest.raises(ValueError):
             ResolvedSynset("s", (), (), np.zeros((0, 2)), 0)
 
-    def test_from_arrays_normalizes(self):
+    def test_make_synset_normalizes_as_a_model_does(self):
         syn = make_synset(["a", "b", "c"], [[2, 0], [0, 3], [4, 4]])
         norms = np.linalg.norm(syn.vectors, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-7)
@@ -586,7 +598,7 @@ def test_property_membership_maximal_rank_and_bounds(n, dim, seed):
 def test_property_word_order_invariance(n, dim, seed):
     """Permuting a synset's words moves no rank or interior flag, and moves
     centrality only by summation-order rounding.  The rows are float64 unit
-    vectors built directly, not through from_arrays' float32 rounding."""
+    vectors built directly, not through make_synset's float32 rounding."""
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((n, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -692,7 +704,7 @@ def test_property_engines_agree_at_high_n(n, dim, tilt_exponent, seed):
 def test_property_rotation_invariance(n, dim, seed):
     """Rotating every vector by one orthogonal Q (the QR of a Gaussian
     matrix) moves no rank or interior flag away from the eps edge, and moves
-    centrality by at most 1e-9.  Float64 rows built directly: from_arrays'
+    centrality by at most 1e-9.  Float64 rows built directly: make_synset's
     float32 rounding alone moves centrality by about 1e-5."""
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((n, dim))
