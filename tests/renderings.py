@@ -74,6 +74,11 @@ def _cases() -> dict[str, list[str]]:
         "audit-weak": ["audit", "--model", "b.txt", "--synsets", "quad.tsv"],
         "analyze-skip-synset": ["analyze", *fixture, "--oov", "skip-synset"],
         "analyze-size-cap": ["analyze", *fixture, "--max-synset-size", "3"],
+        "analyze-lowercase-fallback": ["analyze", *fixture, "--lowercase-fallback"],
+        "error-size-cap-below-minimum": ["analyze", *fixture, "--max-synset-size", "2"],
+        "error-duplicate-tag-suffixes": ["analyze", *fixture, "--tag-suffixes", "_A,_A"],
+        "error-tsv-read-as-jsonl": ["analyze", *fixture, "--format", "jsonl"],
+        "error-compare-one-model": ["compare", *fixture],
         "error-analyze-nothing": ["analyze", "--model", "model.txt", "--synsets", "empty.tsv"],
         "error-compare-nothing": ["compare", "--model", "model.txt", "--model", "model.txt",
                                   "--synsets", "empty.tsv"],
