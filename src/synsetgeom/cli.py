@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .embeddings import EmbeddingModel, load_binary_model, load_text_model
@@ -63,27 +62,6 @@ class _UsageError(SynsetGeomError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 2 is reserved for "nothing analyzed"
         raise _UsageError(f"{self.prog}: {message}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    model_paths: tuple[str, ...]
-    synsets_path: str | None
-    synset_format: str
-    eps: float
-    oov: OovPolicy
-    max_synset_size: int
-    output: str
-    out_path: str | None
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise _UsageError(f"--eps must be positive, got {self.eps}")
-        if self.max_synset_size < MIN_SYNSET_SIZE:
-            raise _UsageError(
-                f"--max-synset-size must be at least {MIN_SYNSET_SIZE}, "
-                f"got {self.max_synset_size}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +110,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    models = tuple(args.model)
+def _settle_args(args) -> None:
+    """Check the parsed arguments and fill in ``format`` (by the synset
+    file's extension when not given) and ``oov`` (the ``OovPolicy``)."""
     n_models = _COMMANDS[args.command].n_models
-    if len(models) != n_models:
+    if len(args.model) != n_models:
         raise _UsageError(
-            f"{args.command} needs exactly {n_models} --model flag(s), got {len(models)}"
+            f"{args.command} needs exactly {n_models} --model flag(s), got {len(args.model)}"
         )
-    fmt = args.format
-    if fmt is None:
-        fmt = "jsonl" if args.synsets.endswith(".jsonl") else "tsv"
+    if args.format is None:
+        args.format = "jsonl" if args.synsets.endswith(".jsonl") else "tsv"
     suffixes = tuple(s for s in args.tag_suffixes.split(",") if s)
     try:
-        oov = OovPolicy(args.oov, suffixes, args.lowercase_fallback)
+        args.oov = OovPolicy(args.oov, suffixes, args.lowercase_fallback)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    return RunConfig(
-        model_paths=models,
-        synsets_path=args.synsets,
-        synset_format=fmt,
-        eps=args.eps,
-        oov=oov,
-        max_synset_size=args.max_synset_size,
-        output=args.output,
-        out_path=args.out,
-    )
+    if not args.eps > 0:
+        raise _UsageError(f"--eps must be positive, got {args.eps}")
+    if args.max_synset_size < MIN_SYNSET_SIZE:
+        raise _UsageError(
+            f"--max-synset-size must be at least {MIN_SYNSET_SIZE}, "
+            f"got {args.max_synset_size}"
+        )
 
 
 def _load_model(path: str, keys) -> EmbeddingModel:
@@ -182,10 +157,6 @@ def _rank_value(rank_doubled: int):
     if rank_doubled % 2 == 0:
         return rank_doubled // 2
     return rank_doubled / 2
-
-
-def _render_json(doc) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2)
 
 
 def _csv_cell(cell):
@@ -228,15 +199,17 @@ class _Side(NamedTuple):
 
 class _Command(NamedTuple):
     """A subcommand: its parser entry, its document and its two text
-    renderings.  ``rows`` turns the document into a csv header and rows of
-    cells (str, number, bool or word list, see ``_csv_cell``/``_table_cell``);
-    csv writes them as they are and ``table`` lays them out with the
-    command's own head and foot lines.  JSON is the document itself."""
+    renderings.  ``document`` reads its settings from the parsed ``args``
+    that ``_settle_args`` checked.  ``rows`` turns the document into a csv
+    header and rows of cells (str, number, bool or word list, see
+    ``_csv_cell``/``_table_cell``); csv writes them as they are and
+    ``table`` lays them out with the command's own head and foot lines.
+    JSON is the document itself."""
 
     help: str
     n_models: int
     positionals: tuple[tuple[str, str], ...]  # (name, help)
-    document: Callable  # (args, cfg, models, raws) -> (doc, message if nothing ran)
+    document: Callable  # (args, models, raws) -> (doc, message if nothing ran)
     rows: Callable  # doc -> (header, rows)
     table: Callable  # (doc, rows) -> text
 
@@ -256,28 +229,28 @@ def _dropped_docs(outcome: ResolutionOutcome) -> list[dict]:
     return [{"token": t, "reason": r} for t, r in outcome.dropped_words]
 
 
-def _analyze_side(raw: RawSynset, model: EmbeddingModel, cfg: RunConfig) -> _Side:
-    outcome = resolve(raw, model, cfg.oov)
+def _analyze_side(raw: RawSynset, model: EmbeddingModel, args) -> _Side:
+    outcome = resolve(raw, model, args.oov)
     if outcome.status != STATUS_RESOLVED:
         return _Side(outcome.status, outcome, None, _skip_reason(raw, outcome))
     try:
         report = analyze_synset(
-            outcome.resolved, eps=cfg.eps, max_size=cfg.max_synset_size
+            outcome.resolved, eps=args.eps, max_size=args.max_synset_size
         )
     except (SynsetSizeError, DegenerateGeometryError) as exc:
         return _Side("error", outcome, None, str(exc))
     return _Side("analyzed", outcome, report, None)
 
 
-def _run(raws, models, cfg: RunConfig) -> list[tuple[RawSynset, list[_Side]]]:
+def _run(raws, models, args) -> list[tuple[RawSynset, list[_Side]]]:
     """Every synset resolved and analyzed under every model, in file order."""
-    return [(raw, [_analyze_side(raw, model, cfg) for model in models]) for raw in raws]
+    return [(raw, [_analyze_side(raw, model, args) for model in models]) for raw in raws]
 
 
-def _one_model_run(raws, models, cfg: RunConfig):
+def _one_model_run(raws, models, args):
     """(raw, side) of every synset under the one model, the skipped ones'
     entries, and the counts analyze and audit both summarize."""
-    sides = [(raw, side) for raw, (side,) in _run(raws, models, cfg)]
+    sides = [(raw, side) for raw, (side,) in _run(raws, models, args)]
     skipped = [{"id": raw.id, **_skip_doc(side)} for raw, side in sides if not side.report]
     counts = {"total": len(sides), "analyzed": len(sides) - len(skipped), "skipped": len(skipped)}
     return sides, skipped, counts
@@ -326,13 +299,13 @@ def _summary_line(doc) -> str:
     return " ".join(f"{key}={value}" for key, value in doc["summary"].items())
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(out_path: str | None, text: str) -> None:
     """Write ``text`` as UTF-8 to ``--out`` or stdout, whatever the locale."""
     if not text.endswith("\n"):
         text += "\n"
     data = text.encode("utf-8")
-    if cfg.out_path:
-        with open(cfg.out_path, "wb") as fout:
+    if out_path:
+        with open(out_path, "wb") as fout:
             fout.write(data)
     else:
         sys.stdout.flush()
@@ -343,7 +316,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
 def _render(command: _Command, doc, output: str) -> str:
     """JSON straight from the document; csv and table from the command's rows."""
     if output == "json":
-        return _render_json(doc)
+        return json.dumps(doc, ensure_ascii=False, indent=2)
     header, rows = command.rows(doc)
     if output == "table":
         return command.table(doc, rows)
@@ -355,18 +328,18 @@ def _render(command: _Command, doc, output: str) -> str:
 
 
 def _execute(args) -> int:
-    """Parse, load, build the command's document, render and emit it.
+    """Check ``args``, parse, load, build the command's document, render and emit it.
 
     The synsets come first: each model is loaded with only the keys their
     words can resolve to, and a bad synset file is reported before a bad
     model."""
-    cfg = _config_from_args(args)
-    raws = parse_synsets(cfg.synsets_path, cfg.synset_format)
-    keys = candidate_keys(raws, cfg.oov)
-    models = [_load_model(p, keys) for p in cfg.model_paths]
+    _settle_args(args)
+    raws = parse_synsets(args.synsets, args.format)
+    keys = candidate_keys(raws, args.oov)
+    models = [_load_model(p, keys) for p in args.model]
     command = _COMMANDS[args.command]
-    doc, nothing = command.document(args, cfg, models, raws)
-    _emit(cfg, _render(command, doc, cfg.output))
+    doc, nothing = command.document(args, models, raws)
+    _emit(args.out, _render(command, doc, args.output))
     if nothing:
         print(nothing, file=sys.stderr)
         return EXIT_NOTHING
@@ -377,9 +350,9 @@ def _execute(args) -> int:
 # analyze
 
 
-def _analyze_doc(args, cfg: RunConfig, models, raws):
+def _analyze_doc(args, models, raws):
     """The analyze document and, when nothing was analyzed, the message."""
-    sides, skipped, counts = _one_model_run(raws, models, cfg)
+    sides, skipped, counts = _one_model_run(raws, models, args)
     analyzed = [_synset_doc(side) for _, side in sides if side.report]
     doc = {"synsets": analyzed, "skipped": skipped, "summary": counts}
     return doc, None if analyzed else "no synsets analyzed"
@@ -417,15 +390,15 @@ def _analyze_table(doc, rows) -> str:
 # partitions
 
 
-def _partitions_doc(args, cfg: RunConfig, models, raws):
+def _partitions_doc(args, models, raws):
     """One row per partition of the focus word, and totals from the same
     table, so they equal what analyze reports for that word."""
     raw = next((r for r in raws if r.id == args.synset_id), None)
     if raw is None:
         raise SynsetGeomError(
-            f"synset id {args.synset_id!r} not found in {cfg.synsets_path}"
+            f"synset id {args.synset_id!r} not found in {args.synsets}"
         )
-    outcome = resolve(raw, models[0], cfg.oov)
+    outcome = resolve(raw, models[0], args.oov)
     if outcome.status != STATUS_RESOLVED:
         raise SynsetGeomError(
             f"synset {raw.id!r} did not resolve: {_skip_reason(raw, outcome)}"
@@ -438,8 +411,8 @@ def _partitions_doc(args, cfg: RunConfig, models, raws):
             f"(resolved words: {', '.join(tokens)})"
         )
     focus = tokens.index(args.token)
-    table = partition_outcomes(synset, focus, eps=cfg.eps, max_size=cfg.max_synset_size)
-    totals = word_attributes(args.token, table, cfg.eps)
+    table = partition_outcomes(synset, focus, eps=args.eps, max_size=args.max_synset_size)
+    totals = word_attributes(args.token, table, args.eps)
     remaining = tokens[:focus] + tokens[focus + 1 :]
     columns = zip(*(column.tolist() for column in table))
     rows = [
@@ -512,9 +485,9 @@ def _compare_side(side: _Side) -> dict:
     return dict(zip(_COMPARE_FIELDS, values))
 
 
-def _compare_doc(args, cfg: RunConfig, models, raws):
+def _compare_doc(args, models, raws):
     """The compare document and, when no synset was compared, the message."""
-    results = _run(raws, models, cfg)
+    results = _run(raws, models, args)
     rows = []
     compared = differing = 0
     for raw, sides in results:
@@ -573,9 +546,9 @@ def _compare_table(doc, rows) -> str:
 # audit
 
 
-def _audit_doc(args, cfg: RunConfig, models, raws):
+def _audit_doc(args, models, raws):
     """The audit document; audit succeeds even when nothing was analyzed."""
-    sides, skipped, counts = _one_model_run(raws, models, cfg)
+    sides, skipped, counts = _one_model_run(raws, models, args)
     weak = [
         {"id": raw.id, "n": side.report.n, "words": [w.token for w in side.report.words]}
         for raw, side in sides

@@ -87,9 +87,6 @@ class EmbeddingModel:
     def __len__(self) -> int:
         return self.vocab_size
 
-    def __contains__(self, token) -> bool:
-        return token in self.index
-
     def __repr__(self):
         return f"EmbeddingModel(vocab_size={self.vocab_size}, dimension={self.dimension})"
 

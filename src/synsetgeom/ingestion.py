@@ -68,7 +68,6 @@ class OovPolicy:
 
 @dataclass(frozen=True)
 class ResolutionOutcome:
-    synset_id: str
     resolved: ResolvedSynset | None
     dropped_words: tuple[tuple[str, str], ...]  # (token, reason)
     status: str
@@ -210,9 +209,9 @@ def resolve(
             keys.append(key)
     dropped = tuple(dropped)
     if policy.mode == "skip-synset" and any(r == DROP_OOV for _, r in dropped):
-        return ResolutionOutcome(synset.id, None, dropped, STATUS_SKIPPED)
+        return ResolutionOutcome(None, dropped, STATUS_SKIPPED)
     if len(tokens) < MIN_SYNSET_SIZE:
-        return ResolutionOutcome(synset.id, None, dropped, STATUS_TOO_SMALL)
+        return ResolutionOutcome(None, dropped, STATUS_TOO_SMALL)
     rows = model.vectors[[model.index[k] for k in keys]]
     resolved = ResolvedSynset(synset.id, tokens, keys, rows, len(synset.words))
-    return ResolutionOutcome(synset.id, resolved, dropped, STATUS_RESOLVED)
+    return ResolutionOutcome(resolved, dropped, STATUS_RESOLVED)

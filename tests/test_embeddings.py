@@ -693,7 +693,7 @@ class TestVocabulary:
 
     def test_lookup_is_case_sensitive(self, model):
         assert model.index.get("A") is None
-        assert "a" in model and "A" not in model
+        assert "a" in model.index and "A" not in model.index
 
 
 class TestCosine:
