@@ -173,7 +173,8 @@ def _open_model(path: str, binary: bool):
 def _load(path, binary: bool, keys=None) -> EmbeddingModel:
     path = str(path)
     read_entry = _binary_entry if binary else _text_entry
-    with _open_model(path, binary) as fin:
+    # widening a float32 signaling NaN warns; _normalize_rows refuses the row
+    with _open_model(path, binary) as fin, np.errstate(invalid="ignore"):
         vocab_size, dimension = _read_header(fin, path, binary)
         words, rows, blocks = [], [], []
         for start in range(0, vocab_size, _BLOCK_ROWS):

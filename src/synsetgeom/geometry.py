@@ -184,6 +184,12 @@ def _check_size(synset: ResolvedSynset, max_size: int) -> None:
         )
 
 
+def _check_eps(eps: float) -> None:
+    # a non-positive band breaks interior <=> maximal rank; nan fails too
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+
+
 def _check_budget(synset: ResolvedSynset, nbytes: int, table: str) -> None:
     if nbytes > MEMORY_BUDGET:
         raise SynsetSizeError(
@@ -311,6 +317,7 @@ def word_attributes(token: str, table: PartitionTable, eps: float) -> WordAttrib
     """Sum one word's ``partition_outcomes`` table into its rank, centrality
     and interior membership (strict improvement on both sides of every
     split), as ``analyze_synset`` reports them."""
+    _check_eps(eps)
     d1 = table.sim1 - table.sim
     d2 = table.sim2 - table.sim
     return WordAttributes(
@@ -330,6 +337,7 @@ def partition_outcomes(
 ) -> PartitionTable:
     """Outcomes of every canonical partition for one focus word, read from
     the same table ``analyze_synset`` reads that word from."""
+    _check_eps(eps)
     _check_size(synset, max_size)
     if not 0 <= focus < synset.n:
         raise IndexError(
@@ -351,6 +359,7 @@ def analyze_synset(
     nearly cancelling block are rescored from their block sums (see the
     module docstring).
     """
+    _check_eps(eps)
     _check_size(synset, max_size)
     q = _subset_norms(synset)
     masks = enumerate_partitions(synset.n - 1)

@@ -209,6 +209,20 @@ class TestLoadBinary:
         with pytest.raises(ModelFormatError, match="duplicate"):
             load_binary_model(path)
 
+    @pytest.mark.filterwarnings("error")
+    def test_signaling_nan_is_refused_without_a_warning(self, tmp_path):
+        """A float32 signaling NaN (bytes 01 00 80 7f) raises numpy's
+        invalid-value warning when widened; the loader reports only the row."""
+        path = tmp_path / "snan.bin"
+        rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        entries = [np.array(r, "<f4").tobytes() for r in rows]
+        entries[1] = b"\x01\x00\x80\x7f" + entries[1][4:]
+        path.write_bytes(b"3 3\n" + b"".join(
+            w + b" " + e + b"\n" for w, e in zip((b"a", b"b", b"c"), entries)
+        ))
+        with pytest.raises(ModelFormatError, match="non-finite component in row 1"):
+            load_binary_model(path)
+
     def test_header_beyond_the_file_size_is_refused(self, tmp_path):
         path = tmp_path / "huge.bin"
         path.write_bytes(b"1000000000000 300\na " + b"\x00" * 1200)

@@ -283,6 +283,22 @@ class TestInteriorMembership:
                 assert member == oracle.word_attributes(synset_rows(syn), focus)[2]
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.05, math.nan])
+@pytest.mark.parametrize("function", ["analyze_synset", "partition_outcomes", "word_attributes"])
+def test_eps_must_be_positive(function, eps):
+    """With eps <= 0 an interior word need not have maximal rank, so the
+    library refuses such an eps, as the CLI's --eps does."""
+    syn = random_synset(np.random.default_rng(7), n=5, dim=3)
+    table = partition_outcomes(syn, 0)
+    calls = {
+        "analyze_synset": lambda: analyze_synset(syn, eps=eps),
+        "partition_outcomes": lambda: partition_outcomes(syn, 0, eps=eps),
+        "word_attributes": lambda: geometry.word_attributes(syn.tokens[0], table, eps),
+    }
+    with pytest.raises(ValueError, match="eps must be positive"):
+        calls[function]()
+
+
 class TestPartitionOutcomes:
     def test_matches_single_partition_path(self):
         # the engine's rows against the reference vector table's, row by row
