@@ -90,7 +90,9 @@ def parse_synsets(path, format: str) -> list[RawSynset]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # \r\n, a lone \r and \n each end a line, as the parser splits them
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise SynsetParseError(f"not valid UTF-8: {exc.reason}", line=line) from None
     synsets = []
     seen_ids = set()

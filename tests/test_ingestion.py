@@ -160,6 +160,16 @@ class TestEncoding:
         with pytest.raises(SynsetParseError, match="line 2: not valid UTF-8"):
             parse_synsets(path, fmt)
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"])
+    def test_invalid_utf8_names_its_line_under_any_line_end(self, tmp_path, end):
+        path = tmp_path / "s.tsv"
+        path.write_bytes(end.join([b"s1\t\ta|b|c", b"s2\t\td|e|f", b"s3\t\tg|\xff|h", b""]))
+        with pytest.raises(SynsetParseError, match="line 3: not valid UTF-8"):
+            parse_synsets(path, "tsv")
+        path.write_bytes(end.join([b"s1\t\ta|b|c", b"s2\t\td|e|f", b"s3\t\tg||h", b""]))
+        with pytest.raises(SynsetParseError, match="line 3: .*empty word"):
+            parse_synsets(path, "tsv")
+
     def test_crlf_line_ends(self, tmp_path):
         path = tmp_path / "s.tsv"
         path.write_bytes(b"s1\t\ta|b|c\r\ns2\t\td|e\r\n")
