@@ -3,7 +3,10 @@ computes from the loaded vectors."""
 
 import gzip
 import math
+import pathlib
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +17,12 @@ from synsetgeom import (
     EmbeddingModel,
     ModelFormatError,
     ResolvedSynset,
+    embeddings,
     load_binary_model,
     load_text_model,
 )
 from synsetgeom.cli import main
-from synsetgeom.embeddings import _BLOCK_ROWS, _read_header
+from synsetgeom.embeddings import _BLOCK_ROWS, _MAX_HEADER_BYTES, _MAX_TOKEN_BYTES, _parse_header
 
 from synth import block_sim, make_model, save_binary_model, save_text_model, unit_rows
 
@@ -341,33 +345,73 @@ class TestBlocks:
         assert peak <= 3 * kept
 
 
-def reference_text_load(path):
-    """The text loader as one ``float()`` per component, line by line: the
-    same checks in the same order, with the same messages."""
-    with open(path, encoding="utf-8") as fin:
-        vocab_size, dimension = _read_header(fin, str(path), binary=False)
+def reference_text_entry(fin, path, i, dimension):
+    """A text line through text-mode ``readline``, with one ``float()`` per
+    component."""
+    line = fin.readline()
+    if not line:
+        return None
+    parts = line.rstrip().split(" ")
+    if len(parts) != dimension + 1:
+        raise ModelFormatError(
+            f"{path}: line {i + 2}: expected token plus {dimension} "
+            f"components, found {len(parts) - 1}"
+        )
+    try:
+        return parts[0], [float(x) for x in parts[1:]]
+    except ValueError:
+        raise ModelFormatError(f"{path}: line {i + 2}: unparseable component") from None
+
+
+def reference_binary_entry(fin, path, i, dimension):
+    """A binary entry with its token read one byte at a time."""
+    buf = bytearray()
+    while True:
+        b = fin.read(1)
+        if not b:
+            return None
+        if b == b" ":
+            break
+        if b == b"\n" and not buf:
+            continue  # entry separator from the newline-terminated layout
+        buf += b
+        if len(buf) > _MAX_TOKEN_BYTES:
+            raise ModelFormatError(f"{path}: entry {i}: token too long")
+    try:
+        token = buf.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ModelFormatError(f"{path}: entry {i}: token is not valid UTF-8") from None
+    chunk = fin.read(4 * dimension)
+    if len(chunk) != 4 * dimension:
+        raise ModelFormatError(
+            f"{path}: truncated: entry {i} ({token!r}) has incomplete vector data"
+        )
+    return token, np.frombuffer(chunk, "<f4")
+
+
+def reference_load(path, binary=False):
+    """The loader one entry at a time, reading a text model in text mode and
+    a binary one a byte at a time: the same checks in the same order, with
+    the same messages."""
+    read_entry = reference_binary_entry if binary else reference_text_entry
+    with open(path, "rb" if binary else "r", encoding=None if binary else "utf-8") as fin:
+        line = fin.readline(_MAX_HEADER_BYTES)
+        if binary:
+            line = line.decode("ascii", errors="replace")
+        vocab_size, dimension = _parse_header(line, str(path), binary)
         words, rows = [], []
         for i in range(vocab_size):
-            line = fin.readline()
-            if not line:
+            entry = read_entry(fin, path, i, dimension)
+            if entry is None:
                 raise ModelFormatError(
                     f"{path}: truncated: expected {vocab_size} entries, found {i}"
                 )
-            parts = line.rstrip().split(" ")
-            if len(parts) != dimension + 1:
-                raise ModelFormatError(
-                    f"{path}: line {i + 2}: expected token plus {dimension} "
-                    f"components, found {len(parts) - 1}"
-                )
-            try:
-                rows.append([float(x) for x in parts[1:]])
-            except ValueError:
-                raise ModelFormatError(f"{path}: line {i + 2}: unparseable component") from None
-            words.append(parts[0])
+            words.append(entry[0])
+            rows.append(entry[1])
             if len(rows) % _BLOCK_ROWS and i < vocab_size - 1:
                 continue
             first = (len(rows) - 1) // _BLOCK_ROWS * _BLOCK_ROWS
-            block = np.array(rows[first:])
+            block = np.array(rows[first:], dtype=np.float64)
             finite = np.isfinite(block).all(axis=1)
             if not finite.all():
                 row = first + int(np.argmin(finite))
@@ -380,16 +424,33 @@ def reference_text_load(path):
                 raise ModelFormatError(
                     f"{path}: zero-norm or overflowing vector in row {row} (cannot normalize)"
                 )
-    raw = np.array(rows)
+    raw = np.array(rows, dtype=np.float64)
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     return EmbeddingModel(words, (raw / norms).astype(np.float32))
+
+
+def assert_loads_as_the_reference(path, binary=False):
+    """The loader's words and vectors bit-identical to the reference's, or
+    the same ModelFormatError."""
+    try:
+        expected = reference_load(path, binary)
+    except ModelFormatError as exc:
+        with pytest.raises(ModelFormatError) as raised:
+            loader_for(binary)(path)
+        assert str(raised.value) == str(exc)
+        return
+    model = loader_for(binary)(path)
+    assert model.words == expected.words
+    assert model.vectors.tobytes() == expected.vectors.tobytes()
 
 
 # edge-case spellings float() accepts or refuses; whitespace ending a line
 SPELLINGS = ["1_0", "\u0661", "+1", ".5", "2.", "1E2", "nan", "1e400", "-0", "0",
              "1\x1c", "1\u3000", "one", ""]
-LINE_ENDS = ["", " ", "\t", "\u3000"]
+LINE_ENDS = ["", " ", "\t", "\u3000", "\x85", "\xa0 ", "\x1f"]
+NEWLINES = ["\n", "\r\n", "\r"]
 FIELDS = st.sampled_from(SPELLINGS) | st.floats().map(repr)
+TOKENS = st.text(alphabet='ab#"_\u0431\u00e9\u8a9e\U0001d7d0', min_size=1, max_size=3)
 
 
 @pytest.mark.filterwarnings("error")
@@ -410,23 +471,100 @@ def test_text_loader_matches_a_per_line_float_reference(
     lines = [f"f{i} " + " ".join(repr(float(x)) for x in r) + "\n" for i, r in enumerate(raw)]
     for _ in range(data.draw(st.integers(0, 4), label="odd lines")):
         position = data.draw(st.integers(0, rows - 1), label="position")
-        token = data.draw(st.text(alphabet='ab#"_', min_size=1, max_size=3), label="token")
+        token = data.draw(TOKENS, label="token")
         width = data.draw(st.sampled_from([dimension] * 4 + [dimension - 1, dimension + 1]))
         components = data.draw(st.lists(FIELDS, min_size=width, max_size=width))
-        end = data.draw(st.sampled_from(LINE_ENDS), label="line end")
+        end = data.draw(st.sampled_from(LINE_ENDS + NEWLINES[1:]), label="line end")
         lines[position] = " ".join([token, *components]) + end + "\n"
     path = tmp_path_factory.mktemp("differential") / "m.txt"
     path.write_text(f"{rows + declared_extra} {dimension}\n" + "".join(lines), encoding="utf-8")
-    try:
-        expected = reference_text_load(path)
-    except ModelFormatError as exc:
-        with pytest.raises(ModelFormatError) as raised:
+    assert_loads_as_the_reference(path)
+
+
+@pytest.mark.parametrize("header", [
+    "2 3\r\n", "2 3\r", "\ufeff2 3\n", "\u0662 \u0663\n", "\U0001d7d0\U0001d7d2 3\n",
+    "2 3".ljust(127) + "\n", "2 3".ljust(128) + "\n",
+    "2 3".ljust(126) + "\r\n", "2 3".ljust(127) + "\r\n",
+    "2 3" + "\u3000" * 124 + "\n", "2 3" + "\u3000" * 125 + "\n",
+    "\U0001d7ce" * 124 + "2 3\n", "\U0001d7ce" * 125 + "2 3\n", "\U0001d7ce" * 200 + "2 3\n",
+    "2 3" + "\xa0" * 124 + "\n", "2 3", "",
+])
+def test_text_header_matches_the_text_mode_reference(tmp_path, header):
+    """The header is one text-mode line: universal newlines, at most 128
+    characters, ``int()``'s digits, and a byte-order mark kept."""
+    path = tmp_path / "m.txt"
+    path.write_text(header + "a 1 0 0\nb 0 1 0\n", encoding="utf-8", newline="")
+    assert_loads_as_the_reference(path)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(chunk=st.sampled_from([1, 2, 3, 7]), dimension=st.integers(1, 3), data=st.data())
+def test_text_lines_across_chunk_ends_load_as_the_reference(chunk, dimension, data):
+    """With chunks of a few bytes, \\r\\n pairs, multi-byte characters and
+    whole lines straddle chunk ends."""
+    rows = data.draw(st.integers(1, 6), label="rows")
+    newline = st.sampled_from(NEWLINES)
+    lines = [f"{rows} {dimension}" + data.draw(newline, label="header end")]
+    for _ in range(rows):
+        width = data.draw(st.sampled_from([dimension] * 4 + [dimension - 1, dimension + 1]))
+        components = data.draw(st.lists(FIELDS, min_size=width, max_size=width))
+        end = data.draw(st.sampled_from(LINE_ENDS), label="line end")
+        lines.append(" ".join([data.draw(TOKENS), *components]) + end + data.draw(newline))
+    if data.draw(st.booleans(), label="no final newline"):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "m.txt"
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        with mock.patch.object(embeddings, "_CHUNK_BYTES", chunk):
+            assert_loads_as_the_reference(path)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(chunk=st.sampled_from([1, 2, 3, 7, 1 << 16]), dimension=st.integers(1, 3), data=st.data())
+def test_binary_entries_across_chunk_ends_load_as_the_reference(chunk, dimension, data):
+    """Tokens found in the buffer agree with tokens read a byte at a time:
+    runs of leading newlines, multi-byte and invalid UTF-8, tokens at and
+    past the length limit, and files cut anywhere."""
+    rows = data.draw(st.integers(1, 5), label="rows")
+    token = st.sampled_from([b"a", b"\xd0\xb1\xc3\xa9", b"a\nb", b"w\xff",
+                             b"t" * _MAX_TOKEN_BYTES, b"t" * (_MAX_TOKEN_BYTES + 1)])
+    blob = f"{rows} {dimension}\n".encode()
+    for i in range(rows):
+        values = data.draw(st.lists(st.sampled_from(BINARY_COMPONENTS + [1.0]),
+                                    min_size=dimension, max_size=dimension))
+        blob += b"\n" * data.draw(st.integers(0, 3), label="leading newlines")
+        # the entry number keeps later tokens unique (and one byte longer)
+        blob += data.draw(token, label="token") + str(i).encode() * (i > 0) + b" "
+        blob += np.array(values, "<f4").tobytes()
+    blob = blob[: data.draw(st.integers(0, len(blob)), label="length")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "m.bin"
+        path.write_bytes(blob)
+        with mock.patch.object(embeddings, "_CHUNK_BYTES", chunk):
+            assert_loads_as_the_reference(path, binary=True)
+
+
+class TestDecodingPolicy:
+    """A text model is decoded line by line, in file order, and only as far
+    as its last declared entry."""
+
+    def test_a_shape_error_before_invalid_utf8_wins(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"3 2\na 1 0\nb 1\nc\xff 0 1\n")
+        with pytest.raises(ModelFormatError, match=": line 3: expected token plus 2"):
             load_text_model(path)
-        assert str(raised.value) == str(exc)
-        return
-    model = load_text_model(path)
-    assert model.words == expected.words
-    assert model.vectors.tobytes() == expected.vectors.tobytes()
+        for damaged in (b"3 2\na 1 0\nb\xff 1\nc 1\n", b"3 2\na 1 0\nb 1 \xff\nc 1\n"):
+            path.write_bytes(damaged)
+            with pytest.raises(ModelFormatError, match="not valid UTF-8 text"):
+                load_text_model(path)
+
+    @pytest.mark.parametrize("keys", [None, {"a"}])
+    def test_bytes_after_the_last_declared_entry_are_never_decoded(self, tmp_path, keys):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"2 2\na 1 0\nb 0 1\n\xff\xfe trailing bytes\n")
+        assert load_text_model(path, keys=keys).words == (("a", "b") if keys is None else ("a",))
 
 
 KEY_ROWS = _BLOCK_ROWS + 100
@@ -459,6 +597,8 @@ def write_damaged(path, binary, damage=None, row=UNUSED_ROW):
         entries[row] = words[row] + b" 1 one 1\n"
     elif damage == "columns":
         entries[row] = words[row] + b" 1 1\n"
+    elif damage == "utf8-components":
+        entries[row] = words[row] + b" 1 \xff1 1\n"
     elif damage == "truncated":
         entries[-1] = entries[-1][:-5] if binary else b""
     path.write_bytes(f"{KEY_ROWS} 3\n".encode() + b"".join(entries))
@@ -519,7 +659,7 @@ class TestKeys:
             load(path, keys=KEYS)
         assert str(keyed.value) == str(full.value)
 
-    @damages("duplicate", "utf8", "truncated", text_only=("columns",))
+    @damages("duplicate", "utf8", "truncated", text_only=("columns", "utf8-components"))
     def test_shape_damage_in_an_unused_row_still_fails(self, tmp_path, binary, damage):
         load = loader_for(binary)
         path = write_damaged(model_file(tmp_path, binary), binary, damage)
